@@ -178,19 +178,15 @@ def _cmd_constant(args, parser):
     }
     failed = None
     try:
-        w0 = density.omega0(args.trunc_prime)
+        pc = density.peyre_constant(args.trunc_prime, args.quad_tol)
         payload["omega0"] = {
-            "value": w0.value,
-            "truncation_prime": w0.truncation_prime,
-            "tail_bound": w0.tail_bound,
+            "value": pc.omega0.value,
+            "truncation_prime": pc.omega0.truncation_prime,
+            "tail_bound": pc.omega0.tail_bound,
         }
-        winf = density.omega_inf(args.quad_tol)
-        payload["omegaInf"] = {"value": winf.value, "error": winf.error}
-        a = float(density.ALPHA) * float(density.BETA)
-        payload["c"] = a * w0.value * winf.value
-        payload["c_error"] = a * (
-            w0.tail_bound * winf.value + w0.value * winf.error
-        )
+        payload["omegaInf"] = {"value": pc.omega_inf.value, "error": pc.omega_inf.error}
+        payload["c"] = pc.c
+        payload["c_error"] = pc.c_error
     except (ArithmeticError, ValueError) as exc:
         failed = str(exc)
         payload["error"] = failed

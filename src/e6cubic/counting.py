@@ -8,12 +8,23 @@ the torsor coordinates, so the whole counter runs on integer arithmetic:
     |tau2| * xi^X0_EXPONENTS <= B   (the x0 bound)
     |tauL| <= B                     (the x1 bound; tauL is solved for)
 
-Two inner strategies share the same xi/tau1 nest: a plain scan over tau2
-(``count_torsor``), and a congruence-class walk that solves
-tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo xiL^3 * xi4^2 * xi5 with modular
-square roots and steps only through admissible residues
-(``count_torsor_fast``).  Both must agree exactly; the brute surface scan is
-the independent oracle for both.
+Three inner strategies share the same xi/tau1 nest:
+
+- the tau2 scan (``count_torsor``) tries every tau2 with |tau2| <= B/x0_unit;
+  it is the plain oracle.
+- the class walk (``enumerate_points``, ``enumerate_torsor_points``,
+  ``counts_upto`` and ``verify``) solves
+  tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo fl = xiL^3 * xi4^2 * xi5 with
+  modular square roots and steps only through the admissible residues,
+  testing the two gcd conditions on each; it is the oracle for the count.
+- the class count (``count_torsor_fast``) counts each root class in its
+  tau2 interval without visiting its points: writing tau2 = r + fl*k, the k
+  with p | tau2 or p | tauL are a few residues mod each prime p of the
+  partner products, and inclusion-exclusion over their CRT classes counts
+  the k that avoid them all.
+
+All three must agree exactly, the class count with the class walk at every
+(xi, tau1); the brute surface scan is the independent oracle for all.
 
 Work may be partitioned into ``parts`` slices by the residue class of xi1,
 the innermost and longest loop; summing slice counts reproduces the full
@@ -26,10 +37,11 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator
 
-from .arith import _sqrt_mod_factored, factorize
+from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
 from .records import CountReport
 from .surface import RationalPoint
 from .torsor import (
+    F1_EXPONENTS,
     FL_EXPONENTS,
     LAMBDA,
     T1_SCHEME,
@@ -39,6 +51,7 @@ from .torsor import (
     XI_NAMES,
     CoprimalityScheme,
     TorsorPoint,
+    monomial,
 )
 
 __all__ = [
@@ -68,19 +81,19 @@ class HeightBounds:
 
     @property
     def x2(self) -> int:
-        return _mono(self.xi, LAMBDA)
+        return monomial(self.xi, LAMBDA)
 
     @property
     def x0_unit(self) -> int:
-        return _mono(self.xi, X0_EXPONENTS)
+        return monomial(self.xi, X0_EXPONENTS)
 
     @property
     def x3_unit(self) -> int:
-        return _mono(self.xi, X3_EXPONENTS)
+        return monomial(self.xi, X3_EXPONENTS)
 
     @property
     def f_ell(self) -> int:
-        return _mono(self.xi, FL_EXPONENTS)
+        return monomial(self.xi, FL_EXPONENTS)
 
     def admissible(self) -> bool:
         return self.x2 <= self.B
@@ -101,14 +114,6 @@ class HeightBounds:
     def X2(self) -> float:
         _, xi2, _, xiL, xi4, xi5, _ = self.xi
         return (self.B * xiL**3 * xi4**2 * xi5 / xi2) ** 0.5
-
-
-def _mono(xi, exps):
-    out = 1
-    for v, e in zip(xi, exps):
-        if e:
-            out *= v**e
-    return out
 
 
 def _squarefree_table(limit):
@@ -136,12 +141,12 @@ def _scheme_tables(scheme):
             if scheme.requires_coprime(XI_NAMES[i], XI_NAMES[j]):
                 checks.append(prev)
         earlier.append(tuple(checks))
+    # 0/1 exponent vectors: monomial(xi, partners) is the product of the xi's
+    # a tau must be coprime to
     tau_partners = []
     for tau in TAU_NAMES:
-        idxs = tuple(
-            XI_NAMES.index(n) for n in scheme.coprime_partners(tau) if n in XI_NAMES
-        )
-        tau_partners.append(idxs)
+        names = scheme.coprime_partners(tau)
+        tau_partners.append(tuple(int(n in names) for n in XI_NAMES))
     return sf, earlier, tau_partners
 
 
@@ -182,69 +187,79 @@ def _xi_tuples(B, scheme, parts, part):
         yield from rec(0, 1)
 
 
-def _solutions(B, scheme, fast, parts, part):
-    """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions."""
-    _, _, tau_partners = _scheme_tables(scheme)
+def _frames(B, scheme, parts, part):
+    """Yield, per admissible xi tuple, the integer data of its tau loops.
+
+    (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max), where
+    fl and f1 are the coefficients of tauL and tau1^3 in the equation and
+    c1, c2, cl the products of the xi's that tau1, tau2, tauL must be
+    coprime to.
+    """
+    _, _, (e1, e2, el) = _scheme_tables(scheme)
+    for xi in _xi_tuples(B, scheme, parts, part):
+        m0 = monomial(xi, X0_EXPONENTS)
+        m3 = monomial(xi, X3_EXPONENTS)
+        yield (
+            xi, monomial(xi, LAMBDA), m0, m3,
+            monomial(xi, FL_EXPONENTS), monomial(xi, F1_EXPONENTS),
+            monomial(xi, e1), monomial(xi, e2), monomial(xi, el),
+            B // m3, B // m0,
+        )
+
+
+def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+    """Yield (tau1, A, roots, intervals) for the tau1 with a tau2 class to visit.
+
+    A = tau1^3 * f1; the tau2 with |tauL| <= B and |tau2| <= tau2_max lie in
+    the intervals, and tauL is integral exactly for tau2 = r (mod fl) with r
+    in roots, the square roots of -A / xi2 modulo fl.
+    """
     gcd = math.gcd
     isqrt = math.isqrt
-    for xi in _xi_tuples(B, scheme, parts, part):
-        xi1, xi2, xi3, xiL, xi4, xi5, xi6 = xi
-        x2 = _mono(xi, LAMBDA)
-        m0 = _mono(xi, X0_EXPONENTS)
-        m3 = _mono(xi, X3_EXPONENTS)
-        fl = xiL**3 * xi4**2 * xi5
-        f1 = xi1 * xi1 * xi3
-        c1 = _mono_over(xi, tau_partners[0])
-        c2 = _mono_over(xi, tau_partners[1])
-        cl = _mono_over(xi, tau_partners[2])
-        t1max = B // m3
-        t2max = B // m0
-        bfl = B * fl
+    bfl = B * fl
+    fl_factors = factorize(fl) if fl > 1 else []
+    inv2 = pow(xi2, -1, fl)
+    root_cache = {}
+    for run in (range(0, t1max + 1), range(-1, -t1max - 1, -1)):
+        for t1 in run:
+            if gcd(t1, c1) != 1:
+                continue
+            # tau2 window from |tauL| <= B, i.e. |tau2^2*xi2 + A| <= B*fl,
+            # intersected with |tau2| <= t2max
+            A = t1 * t1 * t1 * f1
+            hi_num = bfl - A
+            if hi_num < 0:
+                break  # stays negative for all larger t1
+            lo_num = -bfl - A
+            if lo_num > 0:
+                lo_sq = -((-lo_num) // xi2)  # ceil(lo_num / xi2)
+                lo = isqrt(lo_sq - 1) + 1
+            else:
+                lo = 0
+            if lo > t2max:
+                break  # window above the x0 bound for good (monotone in |t1|)
+            hi = min(t2max, isqrt(hi_num // xi2))
+            if lo > hi:
+                continue
+            target = (-A * inv2) % fl
+            roots = root_cache.get(target)
+            if roots is None:
+                roots = _sqrt_mod_factored(target, fl, fl_factors)
+                root_cache[target] = roots
+            if roots:
+                ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
+                yield t1, A, roots, ivs
+
+
+def _solutions(B, scheme, fast, parts, part):
+    """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions."""
+    gcd = math.gcd
+    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, parts, part):
+        xi2 = xi[1]
         if fast:
-            fl_factors = factorize(fl) if fl > 1 else []
-            inv2 = pow(xi2, -1, fl)
-            root_cache = {}
-
-            def classes(t1):
-                # tau2 window from |tauL| <= B, i.e. |tau2^2*xi2 + A| <= B*fl,
-                # intersected with |tau2| <= t2max; empty-forever sentinel when
-                # the lower edge passes t2max (monotone in |t1|).
-                A = t1 * t1 * t1 * f1
-                hi_num = bfl - A
-                if hi_num < 0:
-                    return None, None  # stays negative for all larger t1
-                lo_num = -bfl - A
-                if lo_num > 0:
-                    lo_sq = -((-lo_num) // xi2)  # ceil(lo_num / xi2)
-                    lo = isqrt(lo_sq - 1) + 1
-                else:
-                    lo = 0
-                if lo > t2max:
-                    return None, None  # window above the x0 bound for good
-                hi = min(t2max, isqrt(hi_num // xi2))
-                if lo > hi:
-                    return A, ()
-                target = (-A * inv2) % fl
-                roots = root_cache.get(target)
-                if roots is None:
-                    roots = _sqrt_mod_factored(target, fl, fl_factors)
-                    root_cache[target] = roots
-                if not roots:
-                    return A, ()
-                if lo == 0:
-                    ivs = ((-hi, hi),)
-                else:
-                    ivs = ((-hi, -lo), (lo, hi))
-                return A, tuple((r, iv) for r in roots for iv in ivs)
-
-            for run in (range(0, t1max + 1), range(-1, -t1max - 1, -1)):
-                for t1 in run:
-                    if gcd(t1, c1) != 1:
-                        continue
-                    A, work = classes(t1)
-                    if work is None:
-                        break
-                    for r, (a_lo, a_hi) in work:
+            for t1, A, roots, ivs in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+                for r in roots:
+                    for a_lo, a_hi in ivs:
                         start = a_lo + ((r - a_lo) % fl)
                         for t2 in range(start, a_hi + 1, fl):
                             tl = -((t2 * t2 * xi2 + A) // fl)
@@ -267,16 +282,111 @@ def _solutions(B, scheme, fast, parts, part):
                         yield (xi, t1, t2, tl, x2, m0, m3)
 
 
-def _mono_over(xi, idxs):
-    out = 1
-    for i in idxs:
-        out *= xi[i]
-    return out
+def _count_avoiding(lo, hi, bad):
+    """Number of k in [lo, hi] with k mod p outside S for every (p, S) in bad.
+
+    Inclusion-exclusion over the CRT classes of the bad residues: a term is
+    an arithmetic progression (first k, step) inside [lo, hi] with a sign;
+    refining it by one bad residue of the next prime gives a term of the
+    opposite sign.  An empty term is dropped together with all its
+    refinements, so the work stays near the number of nonempty classes.
+    """
+    total = hi - lo + 1
+    if total <= 0:
+        return 0
+    terms = [(lo, 1, 1)]
+    for p, residues in bad:
+        refined = []
+        for first, step, sign in terms:
+            inv = pow(step, -1, p)
+            step_p = step * p
+            for s in residues:
+                k = first + step * ((s - first) * inv % p)
+                if k <= hi:
+                    total -= sign * ((hi - k) // step_p + 1)
+                    refined.append((k, step_p, -sign))
+        terms += refined
+    return total
+
+
+def _class_counts(B, scheme, parts, part):
+    """Yield (xi, tau1, n) for each (xi, tau1) visit, n its number of points.
+
+    Counts each (root r, tau2 interval) class without walking it.  Writing
+    tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
+    n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
+    p | tau2 or p | tauL form a few residues mod p, and _count_avoiding
+    counts the k left in the interval.  For p not dividing fl, k -> tau2 is
+    a bijection mod p, and the bad tau2 residues (0, and the roots of
+    tau2^2*xi2 + A) are found once per visit.  tau2 = 0 and tauL = 0 fall in
+    every bad set, as gcd(0, c) = c demands.
+    """
+    _, _, (_, e2, el) = _scheme_tables(scheme)
+    prime_cache = {}
+
+    def primes_of(v):
+        ps = prime_cache.get(v)
+        if ps is None:
+            ps = prime_cache[v] = tuple(p for p, _ in factorize(v)) if v > 1 else ()
+        return ps
+
+    for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, parts, part):
+        xi2 = xi[1]
+        flags = {}  # p -> (p | c2, p | cl)
+        for i, v in enumerate(xi):
+            if e2[i] or el[i]:
+                for p in primes_of(v):
+                    in_c2, in_cl = flags.get(p, (False, False))
+                    flags[p] = (in_c2 or e2[i] == 1, in_cl or el[i] == 1)
+        # free: p does not divide fl, and k -> tau2 is onto mod p;
+        # tied: p | fl, so p | tau2 iff p | r, and tauL = n0 + 2*r*xi2*k mod p
+        free, tied = [], []
+        for p, (in_c2, in_cl) in flags.items():
+            if fl % p:
+                # m = -1/xi2 mod p, so p | tauL iff tau2^2 = A*m; None if p | xi2
+                m = -pow(xi2, -1, p) % p if xi2 % p else None
+                free.append((p, in_c2, in_cl, m, pow(fl, -1, p)))
+            else:
+                tied.append((p, in_c2, in_cl, 2 * xi2 % p))
+        for t1, A, roots, ivs in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+            n = 0
+            tau2_bad = []
+            for p, in_c2, in_cl, m, fl_inv in free:
+                res = [0] if in_c2 else []
+                if in_cl:
+                    if m is None:
+                        if A % p == 0:
+                            break  # p divides every tauL
+                    else:
+                        res += [s for s in _prime_power_roots(A * m, p, 1) if s not in res]
+                if len(res) == p:
+                    break  # every tau2 is bad mod p: no points at this visit
+                if res:
+                    tau2_bad.append((p, fl_inv, res))
+            else:
+                for r in roots:
+                    bad = [(p, [(s - r) * fl_inv % p for s in res]) for p, fl_inv, res in tau2_bad]
+                    n0 = (r * r * xi2 + A) // fl
+                    for p, in_c2, in_cl, two_xi2 in tied:
+                        if in_c2 and r % p == 0:
+                            break  # p divides every tau2 of the class
+                        if in_cl:
+                            b = r * two_xi2 % p
+                            if b:
+                                bad.append((p, (-n0 * pow(b, -1, p) % p,)))
+                            elif n0 % p == 0:
+                                break  # p divides every tauL of the class
+                    else:
+                        for a_lo, a_hi in ivs:
+                            n += _count_avoiding(-((r - a_lo) // fl), (a_hi - r) // fl, bad)
+            yield xi, t1, n
 
 
 def _count_part(args):
     B, fast, parts, part, scheme = args
-    return sum(1 for _ in _solutions(B, scheme, fast, parts, part))
+    if fast:
+        return sum(n for _, _, n in _class_counts(B, scheme, parts, part))
+    return sum(1 for _ in _solutions(B, scheme, False, parts, part))
 
 
 def _count(B, fast, threads, scheme):

@@ -388,9 +388,9 @@ def vartheta(xi) -> Fraction:
 
 
 def local_factor_closed(p: int, s: float) -> float:
-    """Closed form of the local factor F_p at shifted argument s, s > 0."""
-    if s <= 0:
-        raise ValueError("the local factor series diverges for s <= 0")
+    """Closed form of the local factor F_p at shifted argument s, s > -1/6."""
+    if s <= -1 / 6:
+        raise ValueError("the local factor series diverges for s <= -1/6")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _local_factor(p, s)
@@ -421,9 +421,11 @@ def local_factor_sum(p: int, s: float, cutoff: int = 40) -> float:
     weight is zero, and a coordinate is capped at exponent 1 when raising
     it to 2 kills the weight.  The surviving terms factor into geometric
     partial sums, so the result equals the full boxed sum exactly.
+    The series converges when every 1 + lambda_i * s is positive, that is
+    for s > -1/6.
     """
-    if s <= 0:
-        raise ValueError("the local factor series diverges for s <= 0")
+    if s <= -1 / 6:
+        raise ValueError("the local factor series diverges for s <= -1/6")
     if cutoff < 20:
         raise ValueError("cutoff must be at least 20")
     x = [p ** -(lam * s + 1) for lam in LAMBDA]

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -28,6 +29,35 @@ class TestOracleEquivalence:
         brute = set(surface.brute_points(40))
         torsor_pts = set(counting.enumerate_points(40))
         assert torsor_pts == brute
+
+
+class TestClassCount:
+    @pytest.mark.parametrize(
+        "scheme",
+        [torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2")],
+        ids=["T1", "T1-without-xi1-xi2"],
+    )
+    def test_matches_class_walk_per_visit(self, scheme):
+        for B in (1, 37, 100, 500, 2000, 10**4):
+            walked = collections.Counter(
+                (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True, 1, 0)
+            )
+            counted = {}
+            for xi, t1, n in counting._class_counts(B, scheme, 1, 0):
+                assert (xi, t1) not in counted
+                counted[(xi, t1)] = n
+            assert {k: n for k, n in counted.items() if n} == dict(walked), B
+
+    def test_count_avoiding_matches_scan(self):
+        bad = [(2, [1]), (3, [0, 2]), (5, [1, 4]), (7, [3])]
+        for lo in range(-12, 5):
+            for hi in range(lo - 1, 250, 7):
+                scan = sum(
+                    1
+                    for k in range(lo, hi + 1)
+                    if all(k % p not in residues for p, residues in bad)
+                )
+                assert counting._count_avoiding(lo, hi, bad) == scan
 
 
 class TestPartitioning:

@@ -158,10 +158,16 @@ class TestVartheta:
 
 class TestLocalFactor:
     def test_divergence_guard(self):
-        with pytest.raises(ValueError):
-            density.local_factor_closed(2, 0.0)
-        with pytest.raises(ValueError):
-            density.local_factor_sum(2, -0.5)
+        # the series converges while every 1 + lambda_i * s > 0: s > -1/6
+        for f in (density.local_factor_closed, density.local_factor_sum):
+            with pytest.raises(ValueError):
+                f(2, -1 / 6)
+            with pytest.raises(ValueError):
+                f(2, -0.5)
+        for p in (2, 3, 5, 7):
+            closed = density.local_factor_closed(p, 0.0)
+            assert closed == pytest.approx(1 + 7 / p + 1 / p**2, rel=1e-14)
+            assert abs(closed - density.local_factor_sum(p, 0.0, cutoff=40)) < 1e-8
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
