@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "is_prime",
     "factorize",
@@ -27,16 +29,18 @@ __all__ = [
 ]
 
 
-def _small_primes(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+def _primes_upto(n):
+    """The primes p <= n, ascending, as a numpy integer array."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0]
 
 
-_TRIAL_PRIMES = _small_primes(10_000)
+# Python ints: n % p with a numpy int64 p overflows for n >= 2^63
+_TRIAL_PRIMES = tuple(_primes_upto(10_000).tolist())
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24,
 # far beyond the 64-bit widths this library needs.

@@ -48,8 +48,8 @@ def parse_b_range(spec: str) -> list[int]:
         raise ValueError("expected START:STOP:{geometric|linear}:N")
     start, stop = float(parts[0]), float(parts[1])
     kind, n = parts[2], int(parts[3])
-    if start < 1 or stop < start or n < 1:
-        raise ValueError("need 1 <= START <= STOP and N >= 1")
+    if not 1 <= start <= stop < math.inf or n < 1:
+        raise ValueError("need 1 <= START <= STOP < inf and N >= 1")
     if kind == "geometric":
         grid = np.geomspace(start, stop, n)
     elif kind == "linear":
@@ -68,8 +68,8 @@ def parse_b_range(spec: str) -> list[int]:
 class RunConfig:
     """Validated parameters of a counting run.
 
-    Invariants: every height bound positive, the method known, the quadrature
-    tolerance in (0, 1e-3], at least one worker.
+    Invariants: every height bound positive, the method known, at least one
+    worker.
     """
 
     b_values: tuple
@@ -77,16 +77,12 @@ class RunConfig:
     threads: int
     out: str | None = None
     format: str = "csv"
-    quad_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if not self.b_values or any(b < 1 for b in self.b_values):
             raise ValueError("height bounds must be positive")
         if self.method not in ("brute", "torsor", "fast", "both"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 < self.quad_tol <= 1e-3:
-            raise ValueError("quadrature tolerance must lie in (0, 1e-3]")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
 
@@ -94,10 +90,10 @@ class RunConfig:
 def _collect_b_values(args, parser):
     values = []
     for b in args.B or []:
-        bi = int(round(float(b)))
-        if bi < 1 or float(b) != bi:
+        x = float(b)
+        if not (1 <= x < math.inf and x.is_integer()):
             parser.error(f"--B must be a positive integer, got {b}")
-        values.append(bi)
+        values.append(int(x))
     if args.B_range:
         try:
             values.extend(parse_b_range(args.B_range))
@@ -115,11 +111,7 @@ def _write_reports(reports, path, fmt):
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps([r.as_dict() for r in reports], indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, path)
 
 
 def _cmd_count(args, parser):
@@ -289,7 +281,10 @@ def _cmd_fit(args, parser):
     else:
         if not args.B_range:
             parser.error("fit needs --counts or --B-range")
-        b_values = parse_b_range(args.B_range)
+        try:
+            b_values = parse_b_range(args.B_range)
+        except ValueError as exc:
+            parser.error(str(exc))
         count = (
             counting.count_torsor_fast if args.method == "fast" else counting.count_torsor
         )
@@ -313,22 +308,14 @@ def _cmd_fit(args, parser):
         "ratio": report.ratio,
         "residual_norm": report.residual_norm,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        plot_path = args.out + ".plot.csv"
-    else:
-        sys.stdout.write(text)
-        plot_path = None
-    if args.plot_csv:
-        plot_path = args.plot_csv
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    plot_path = args.plot_csv or (args.out and args.out + ".plot.csv")
     if plot_path:
-        with open(plot_path, "w") as fh:
-            fh.write("B,count,model\n")
-            for b, n in report.samples:
-                model = report.c_reference * b * math.log(b) ** 6
-                fh.write(f"{b},{n},{model!r}\n")
+        rows = ["B,count,model\n"]
+        for b, n in report.samples:
+            model = report.c_reference * b * math.log(b) ** 6
+            rows.append(f"{b},{n},{model!r}\n")
+        _emit("".join(rows), plot_path)
     print(
         f"leading={report.leading:.6e} c={report.c_reference:.6e} "
         f"ratio={report.ratio:.4f}",
@@ -418,19 +405,13 @@ def build_parser():
     return parser, {"count": p_count, "constant": p_const, "verify": p_verify, "fit": p_fit}
 
 
-_VALIDATORS = {
-    "quad_tol": lambda v: 0 < v <= 1e-3,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
     _apply_config_file(argv, parser, subparsers)
     args = parser.parse_args(argv)
-    if getattr(args, "quad_tol", None) is not None:
-        if not _VALIDATORS["quad_tol"](args.quad_tol):
-            parser.error("--quad-tol must lie in (0, 1e-3]")
+    if getattr(args, "quad_tol", None) is not None and not 0 < args.quad_tol <= 1e-3:
+        parser.error("--quad-tol must lie in (0, 1e-3]")
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
     handlers = {

@@ -26,20 +26,22 @@ Three inner strategies share the same xi/tau1 nest:
 All three must agree exactly, the class count with the class walk at every
 (xi, tau1); the brute surface scan is the independent oracle for all.
 
-Work may be partitioned into ``parts`` slices by the residue class of xi1,
-the innermost and longest loop; summing slice counts reproduces the full
-count, so parallel runs are deterministic.
+Parallel counts deal the xi tuples round-robin to the workers, in the
+canonical order of ``_xi_tuples``: a xi tuple's tau1/tau2 sums are
+independent of every other tuple's, and summing the shard counts reproduces
+the full count, so parallel runs are deterministic.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import Pool
 from typing import Iterator
 
 from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
 from .records import CountReport
-from .surface import RationalPoint
+from .surface import RationalPoint, _cumulative_counts
 from .torsor import (
     F1_EXPONENTS,
     FL_EXPONENTS,
@@ -150,11 +152,10 @@ def _scheme_tables(scheme):
     return sf, earlier, tau_partners
 
 
-def _xi_tuples(B, scheme, parts, part):
+def _xi_tuples(B, scheme):
     """Yield admissible xi-tuples (canonical order) with xi^LAMBDA <= B.
 
-    Applies the xi-part of the scheme incrementally; slices the xi1 range
-    by residue class when parts > 1.
+    Applies the xi conditions of the scheme incrementally.
     """
     sf, earlier, _ = _scheme_tables(scheme)
     sqfree = _squarefree_table(math.isqrt(B) + 1)
@@ -174,10 +175,8 @@ def _xi_tuples(B, scheme, parts, part):
             m = mono * v**e
             if m > B:
                 break
-            if (
-                (not squarefree_needed or sqfree[v])
-                and all(gcd(v, vals[j]) == 1 for j in checks)
-                and (level != 6 or parts == 1 or v % parts == part)
+            if (not squarefree_needed or sqfree[v]) and all(
+                gcd(v, vals[j]) == 1 for j in checks
             ):
                 vals[level] = v
                 yield from rec(level + 1, m)
@@ -187,8 +186,8 @@ def _xi_tuples(B, scheme, parts, part):
         yield from rec(0, 1)
 
 
-def _frames(B, scheme, parts, part):
-    """Yield, per admissible xi tuple, the integer data of its tau loops.
+def _frames(B, scheme, xis=None):
+    """Yield, per xi tuple of xis (default: all), the data of its tau loops.
 
     (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max), where
     fl and f1 are the coefficients of tauL and tau1^3 in the equation and
@@ -196,7 +195,7 @@ def _frames(B, scheme, parts, part):
     coprime to.
     """
     _, _, (e1, e2, el) = _scheme_tables(scheme)
-    for xi in _xi_tuples(B, scheme, parts, part):
+    for xi in _xi_tuples(B, scheme) if xis is None else xis:
         m0 = monomial(xi, X0_EXPONENTS)
         m3 = monomial(xi, X3_EXPONENTS)
         yield (
@@ -251,10 +250,10 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
                 yield t1, A, roots, ivs
 
 
-def _solutions(B, scheme, fast, parts, part):
+def _solutions(B, scheme, fast, xis=None):
     """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions."""
     gcd = math.gcd
-    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, parts, part):
+    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
         if fast:
             for t1, A, roots, ivs in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
@@ -309,7 +308,7 @@ def _count_avoiding(lo, hi, bad):
     return total
 
 
-def _class_counts(B, scheme, parts, part):
+def _class_counts(B, scheme, xis=None):
     """Yield (xi, tau1, n) for each (xi, tau1) visit, n its number of points.
 
     Counts each (root r, tau2 interval) class without walking it.  Writing
@@ -330,7 +329,7 @@ def _class_counts(B, scheme, parts, part):
             ps = prime_cache[v] = tuple(p for p, _ in factorize(v)) if v > 1 else ()
         return ps
 
-    for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, parts, part):
+    for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
         flags = {}  # p -> (p | c2, p | cl)
         for i, v in enumerate(xi):
@@ -383,10 +382,12 @@ def _class_counts(B, scheme, parts, part):
 
 
 def _count_part(args):
+    """Points of every parts-th xi tuple, from the part-th on."""
     B, fast, parts, part, scheme = args
+    xis = islice(_xi_tuples(B, scheme), part, None, parts)
     if fast:
-        return sum(n for _, _, n in _class_counts(B, scheme, parts, part))
-    return sum(1 for _ in _solutions(B, scheme, False, parts, part))
+        return sum(n for _, _, n in _class_counts(B, scheme, xis))
+    return sum(1 for _ in _solutions(B, scheme, False, xis))
 
 
 def _count(B, fast, threads, scheme):
@@ -404,50 +405,37 @@ def _count(B, fast, threads, scheme):
 def count_torsor(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
     """Exact N(B) by torsor enumeration with a scanned tau2 loop."""
     t0 = time.perf_counter()
-    n, parts = _count(B, False, threads, scheme)
-    return CountReport(B, n, "torsor", time.perf_counter() - t0, parts)
+    n, shards = _count(B, False, threads, scheme)
+    return CountReport(B, n, "torsor", time.perf_counter() - t0, shards)
 
 
 def count_torsor_fast(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
     """Exact N(B) stepping tau2 through admissible congruence classes."""
     t0 = time.perf_counter()
-    n, parts = _count(B, True, threads, scheme)
-    return CountReport(B, n, "fast", time.perf_counter() - t0, parts)
+    n, shards = _count(B, True, threads, scheme)
+    return CountReport(B, n, "fast", time.perf_counter() - t0, shards)
 
 
 def enumerate_torsor_points(
-    B: int,
-    scheme: CoprimalityScheme = T1_SCHEME,
-    fast: bool = True,
-    parts: int = 1,
-    part: int = 0,
+    B: int, scheme: CoprimalityScheme = T1_SCHEME, fast: bool = True
 ) -> Iterator[TorsorPoint]:
     """All torsor points meeting the scheme and height conditions at B."""
-    for xi, t1, t2, tl, _, _, _ in _solutions(B, scheme, fast, parts, part):
+    for xi, t1, t2, tl, _, _, _ in _solutions(B, scheme, fast):
         yield TorsorPoint(*xi, t1, t2, tl)
 
 
 def enumerate_points(
-    B: int,
-    scheme: CoprimalityScheme = T1_SCHEME,
-    fast: bool = True,
-    parts: int = 1,
-    part: int = 0,
+    B: int, scheme: CoprimalityScheme = T1_SCHEME, fast: bool = True
 ) -> Iterator[RationalPoint]:
     """Surface points of height <= B as psi-images, each exactly once."""
-    for xi, t1, t2, tl, x2, m0, m3 in _solutions(B, scheme, fast, parts, part):
+    for _, t1, t2, tl, x2, m0, m3 in _solutions(B, scheme, fast):
         yield RationalPoint(m0 * t2, tl, x2, m3 * t1)
 
 
 def counts_upto(Bmax: int, fast: bool = True, scheme: CoprimalityScheme = T1_SCHEME) -> list[int]:
     """N(B) for every B in [0, Bmax] from a single enumeration at Bmax."""
-    hist = [0] * (Bmax + 1)
-    for _, t1, t2, tl, x2, m0, m3 in _solutions(Bmax, scheme, fast, 1, 0):
-        h = max(x2, m0 * abs(t2), m3 * abs(t1), abs(tl))
-        hist[h] += 1
-    out = [0] * (Bmax + 1)
-    acc = 0
-    for b in range(Bmax + 1):
-        acc += hist[b]
-        out[b] = acc
-    return out
+    heights = (
+        max(x2, m0 * abs(t2), m3 * abs(t1), abs(tl))
+        for _, t1, t2, tl, x2, m0, m3 in _solutions(Bmax, scheme, fast)
+    )
+    return _cumulative_counts(heights, Bmax)

@@ -29,7 +29,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
-from .arith import is_prime, phi_star
+from .arith import _primes_upto, is_prime, phi_star
 from .torsor import LAMBDA, T1_SCHEME, xi_scheme_satisfied
 
 __all__ = [
@@ -144,15 +144,6 @@ class EulerProduct:
     value: float
     truncation_prime: int
     tail_bound: float
-
-
-def _primes_upto(n):
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
 
 
 def omega0(P: int = 10**5) -> EulerProduct:

@@ -9,6 +9,7 @@ against which the torsor-based counter is checked.
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .arith import factorize
@@ -131,14 +132,14 @@ def brute_count(B: int) -> CountReport:
     return CountReport(B, n, "brute", time.perf_counter() - t0)
 
 
+def _cumulative_counts(heights, Bmax: int) -> list[int]:
+    """[number of heights <= B for B in 0..Bmax]; every height is in [0, Bmax]."""
+    hist = [0] * (Bmax + 1)
+    for h in heights:
+        hist[h] += 1
+    return list(accumulate(hist))
+
+
 def brute_counts_upto(Bmax: int) -> list[int]:
     """Counts N(B) for every B in [0, Bmax], from one scan at Bmax."""
-    hist = [0] * (Bmax + 1)
-    for p in brute_points(Bmax):
-        hist[height(p)] += 1
-    out = [0] * (Bmax + 1)
-    acc = 0
-    for b in range(Bmax + 1):
-        acc += hist[b]
-        out[b] = acc
-    return out
+    return _cumulative_counts(map(height, brute_points(Bmax)), Bmax)

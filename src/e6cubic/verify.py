@@ -170,7 +170,7 @@ def duplicate_images_with_scheme(scheme, B: int = 60) -> bool:
     example xi1-xi2) must produce detectable duplicates.
     """
     seen = set()
-    for xi, t1, t2, tl, x2, m0, m3 in counting._solutions(B, scheme, True, 1, 0):
+    for xi, t1, t2, tl, x2, m0, m3 in counting._solutions(B, scheme, True):
         key = surface.normalize((m0 * t2, tl, x2, m3 * t1)).coords()
         if key in seen:
             return True

@@ -33,6 +33,16 @@ class TestCount:
             cli.main(["count"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--B", "inf"], ["--B", "1e400"], ["--B", "nan"], ["--B-range", "1:inf:geometric:3"]],
+    )
+    def test_non_finite_bound_is_usage_error(self, capsys, bounds):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", *bounds])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_range_run_to_csv(self, capsys, tmp_path):
         out_path = tmp_path / "runs.csv"
         code, _, _ = run_cli(
@@ -154,6 +164,12 @@ class TestFit:
             cli.main(["fit"])
         assert exc.value.code == 2
 
+    def test_fit_bad_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--B-range", "1:10:geometric:x"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
@@ -177,6 +193,6 @@ class TestBRangeParser:
         assert grid[0] == 1000 and grid[-1] == 10**6
 
     def test_rejects_garbage(self):
-        for spec in ("5", "10:1:geometric:5", "1:10:exp:5", "0:10:linear:5"):
+        for spec in ("5", "10:1:geometric:5", "1:10:exp:5", "0:10:linear:5", "1:inf:geometric:3"):
             with pytest.raises(ValueError):
                 cli.parse_b_range(spec)

@@ -40,10 +40,10 @@ class TestClassCount:
     def test_matches_class_walk_per_visit(self, scheme):
         for B in (1, 37, 100, 500, 2000, 10**4):
             walked = collections.Counter(
-                (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True, 1, 0)
+                (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
             )
             counted = {}
-            for xi, t1, n in counting._class_counts(B, scheme, 1, 0):
+            for xi, t1, n in counting._class_counts(B, scheme):
                 assert (xi, t1) not in counted
                 counted[(xi, t1)] = n
             assert {k: n for k, n in counted.items() if n} == dict(walked), B
@@ -62,19 +62,24 @@ class TestClassCount:
 
 class TestPartitioning:
     def test_partition_sums_to_total(self):
-        total = counting.count_torsor_fast(150).count
-        for parts in (2, 3, 5):
-            sliced = sum(
-                _count_part((150, True, parts, p, torsor.T1_SCHEME))
-                for p in range(parts)
-            )
-            assert sliced == total
+        for B in (1, 150):
+            total = counting.count_torsor_fast(B).count
+            for fast in (True, False):
+                for parts in (2, 3, 5):
+                    sliced = sum(
+                        _count_part((B, fast, parts, p, torsor.T1_SCHEME))
+                        for p in range(parts)
+                    )
+                    assert sliced == total, (B, fast, parts)
 
     def test_worker_pool_matches_sequential(self):
         lone = counting.count_torsor_fast(200).count
         pooled = counting.count_torsor_fast(200, threads=2)
         assert pooled.count == lone
         assert pooled.parts == 2
+        scanned = counting.count_torsor(200, threads=2)
+        assert scanned.count == counting.count_torsor(200).count == lone
+        assert scanned.parts == 2
 
     def test_enumeration_deterministic(self):
         first = list(counting.enumerate_points(80))
