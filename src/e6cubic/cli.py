@@ -7,11 +7,25 @@ Subcommands:
     fit       fit N(B)/B against powers of log B and compare with the constant
 
 Exit codes: 0 success, 1 verification/equality failure, 2 usage error,
-3 numeric failure.  A config file of ``key=value`` lines supplies defaults
-that flags override; E6CUBIC_THREADS sets the default worker count.
+3 numeric failure.
+
+Each option's value is checked once, by the ``type`` or ``choices`` of its
+argparse declaration, whatever its source:
+
+* a flag on the command line;
+* a ``key=value`` line of the ``--config`` file, parsed as ``--key=value`` by
+  the chosen subcommand's own parser.  A key that only other subcommands
+  declare is ignored (their parsers still check its value); a key that none
+  declares is a usage error.  A flag on the command line overrides the
+  file's value for its option, ``--B`` included;
+* E6CUBIC_THREADS, the default of ``--threads``.
+
+A value that fails its check, and a file that cannot be read or written, is
+a usage error.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -22,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counting, density, surface, verify
-from .records import CountReport
 
-__all__ = ["main", "RunConfig", "FitReport", "fit_polylog", "parse_b_range"]
+__all__ = ["main", "FitReport", "fit_polylog", "parse_b_range"]
 
 _ENV_THREADS = "E6CUBIC_THREADS"
 
@@ -34,11 +47,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get(_ENV_THREADS, "1")))
-    except ValueError:
-        return 1
+class _UsageError(Exception):
+    """Bad input found after parsing; ``main`` reports it as a usage error."""
 
 
 def parse_b_range(spec: str) -> list[int]:
@@ -64,44 +74,43 @@ def parse_b_range(spec: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of a counting run.
+def _checked(convert, ok, rule):
+    """An argparse ``type``: ``convert(text)`` when ``ok`` holds of it, else a usage error."""
 
-    Invariants: every height bound positive, the method known, at least one
-    worker.
-    """
-
-    b_values: tuple
-    method: str
-    threads: int
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if not self.b_values or any(b < 1 for b in self.b_values):
-            raise ValueError("height bounds must be positive")
-        if self.method not in ("brute", "torsor", "fast", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
-
-
-def _collect_b_values(args, parser):
-    values = []
-    for b in args.B or []:
-        x = float(b)
-        if not (1 <= x < math.inf and x.is_integer()):
-            parser.error(f"--B must be a positive integer, got {b}")
-        values.append(int(x))
-    if args.B_range:
+    def check(text):
         try:
-            values.extend(parse_b_range(args.B_range))
-        except ValueError as exc:
-            parser.error(str(exc))
-    if not values:
-        parser.error("no B values given (use --B or --B-range)")
-    return values
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+
+    return check
+
+
+def _integral(text):
+    """An integer written as an int or a float ('100', '1e2'); ValueError otherwise."""
+    x = float(text)
+    if not x.is_integer():
+        raise ValueError(text)
+    return int(x)
+
+
+_height = _checked(_integral, lambda b: b >= 1, "a height bound must be a positive integer")
+_b_range = _checked(
+    parse_b_range, bool, "expected START:STOP:{geometric|linear}:N with 1 <= START <= STOP < inf"
+)
+_positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer")
+_trunc_prime = _checked(int, lambda p: p >= 10**3, "must be an integer >= 1000")
+_quad_tol = _checked(float, lambda t: 0 < t <= 1e-3, "must be a number in (0, 1e-3]")
+
+# Looked up when called, so that a counter replaced on its module is the one run.
+_COUNTERS = {
+    "torsor": lambda B, threads: counting.count_torsor(B, threads=threads),
+    "fast": lambda B, threads: counting.count_torsor_fast(B, threads=threads),
+    "brute": lambda B, threads: surface.brute_count(B),
+}
 
 
 def _write_reports(reports, path, fmt):
@@ -114,39 +123,25 @@ def _write_reports(reports, path, fmt):
     _emit(text, path)
 
 
-def _cmd_count(args, parser):
-    try:
-        cfg = RunConfig(
-            b_values=tuple(_collect_b_values(args, parser)),
-            method=args.method,
-            threads=args.threads,
-            out=args.out,
-            format=args.format,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_count(args):
+    b_values = (args.B or []) + (args.B_range or [])
+    if not b_values:
+        raise _UsageError("no B values given (use --B or --B-range)")
+    both = args.method == "both"
     reports = []
     verdict_ok = True
-    for B in cfg.b_values:
-        runs = []
-        if cfg.method in ("torsor", "both"):
-            runs.append(counting.count_torsor(B, threads=cfg.threads))
-        if cfg.method in ("fast", "both"):
-            runs.append(counting.count_torsor_fast(B, threads=cfg.threads))
-        if cfg.method == "brute" or (cfg.method == "both" and B <= 1000):
-            runs.append(surface.brute_count(B))
+    for B in b_values:
+        methods = (["torsor", "fast"] + (["brute"] if B <= 1000 else [])) if both else [args.method]
+        runs = [_COUNTERS[m](B, args.threads) for m in methods]
         reports.extend(runs)
-        if cfg.method == "both":
-            counts = {r.count for r in runs}
-            if len(counts) != 1:
-                verdict_ok = False
-                print(
-                    f"B={B}: DISAGREE "
-                    + ", ".join(f"{r.method}={r.count}" for r in runs),
-                    file=sys.stderr,
-                )
-    _write_reports(reports, cfg.out, cfg.format)
-    if cfg.method == "both":
+        if both and len({r.count for r in runs}) != 1:
+            verdict_ok = False
+            print(
+                f"B={B}: DISAGREE " + ", ".join(f"{r.method}={r.count}" for r in runs),
+                file=sys.stderr,
+            )
+    _write_reports(reports, args.out, args.format)
+    if both:
         print("verdict: equal" if verdict_ok else "verdict: DISAGREE", file=sys.stderr)
         if not verdict_ok:
             return EXIT_VERIFY
@@ -154,16 +149,17 @@ def _cmd_count(args, parser):
 
 
 def _emit(text, path):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _cmd_constant(args, parser):
-    if args.trunc_prime < 10**3:
-        parser.error("--trunc-prime must be at least 1000")
+def _cmd_constant(args):
     payload = {
         "alpha": f"{density.ALPHA.numerator}/{density.ALPHA.denominator}",
         "beta": str(density.BETA),
@@ -186,7 +182,7 @@ def _cmd_constant(args, parser):
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     results = verify.run_suite(
         B=args.B,
         seed=args.seed,
@@ -262,44 +258,33 @@ def fit_polylog(samples, c_reference: float) -> FitReport:
 
 
 def _read_counts_csv(path):
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        bi = header.index("B")
-        ci = header.index("count")
-        for line in fh:
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            out.append((int(cells[bi]), int(cells[ci])))
-    return out
+    try:
+        with open(path, newline="") as fh:
+            return [(int(row["B"]), int(row["count"])) for row in csv.DictReader(fh)]
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"{path}: needs integer B and count columns") from exc
 
 
-def _cmd_fit(args, parser):
+def _cmd_fit(args):
     if args.counts:
         samples = _read_counts_csv(args.counts)
-    else:
-        if not args.B_range:
-            parser.error("fit needs --counts or --B-range")
-        try:
-            b_values = parse_b_range(args.B_range)
-        except ValueError as exc:
-            parser.error(str(exc))
-        count = (
-            counting.count_torsor_fast if args.method == "fast" else counting.count_torsor
-        )
+    elif args.B_range:
         samples = []
-        for B in b_values:
-            rep = count(B, threads=args.threads)
+        for B in args.B_range:
+            rep = _COUNTERS[args.method](B, args.threads)
             print(f"counted B={B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
             samples.append((B, rep.count))
+    else:
+        raise _UsageError("fit needs --counts or --B-range")
     c_ref = args.c_ref
     if c_ref is None:
         c_ref = density.peyre_constant(P=args.trunc_prime, quad_tol=args.quad_tol).c
     try:
         report = fit_polylog(samples, c_ref)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from exc
     payload = {
         "samples": [[b, n] for b, n in report.samples],
         "coefficients": report.coefficients,
@@ -324,38 +309,33 @@ def _cmd_fit(args, parser):
     return EXIT_OK
 
 
-def _apply_config_file(argv, parser, subparsers):
-    """Pre-scan for --config and turn its key=value lines into defaults.
+def _apply_config_file(args, argv, parser, subparsers):
+    """Set in ``args`` the ``--config`` file's values of the options argv leaves unset.
 
-    Values are coerced through the declared option types, so flags given on
-    the command line keep overriding the file.
+    Each ``key=value`` line becomes the token ``--key=value`` and goes through
+    the subcommand's own parser, which checks it like a flag.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return
-    entries = {}
     try:
-        with open(known.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                entries[key.strip().replace("-", "_")] = value.strip()
+        with open(args.config) as fh:
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    for key, raw in entries.items():
-        matched = False
-        for target in [parser] + list(subparsers.values()):
-            for action in target._actions:
-                if action.dest == key:
-                    value = action.type(raw) if action.type else raw
-                    target.set_defaults(**{key: value})
-                    matched = True
-        if not matched:
-            parser.error(f"unknown config key: {key}")
+        raise _UsageError(f"cannot read config file: {exc}") from exc
+    keys = {}  # token -> the key as the file writes it
+    for line in lines:
+        if line and not line.startswith("#"):
+            key, _, value = (part.strip() for part in line.partition("="))
+            keys[f"--{key.replace('_', '-')}={value}"] = key
+    sub = subparsers[args.command]
+    # Without defaults, a parse holds a value only for the options its tokens give.
+    sub.set_defaults(**dict.fromkeys(vars(args)))
+    given = vars(parser.parse_args(argv))
+    from_file, unknown = sub.parse_known_args(list(keys))
+    for token in unknown:
+        if all(p.parse_known_args([token])[1] for p in subparsers.values()):
+            raise _UsageError(f"unknown config key: {keys[token]}")
+    for key, value in vars(from_file).items():
+        if value is not None and given[key] is None:
+            setattr(args, key, value)
 
 
 def build_parser():
@@ -364,42 +344,49 @@ def build_parser():
         description="Count rational points of bounded height on the E6 cubic "
         "surface via its universal torsor and check the expected constant.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key=value file of default options")
     parser.add_argument("--config", help="key=value file of default options")
+    # SUPPRESS: a subcommand that is not given --config keeps the one given before it
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--config", default=argparse.SUPPRESS, help="key=value file of default options"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = os.environ.get(_ENV_THREADS, "1")
+    threads_help = f"worker processes (default: ${_ENV_THREADS}, else 1)"
 
     p_count = sub.add_parser("count", help="run the counters", parents=[shared])
-    p_count.add_argument("--B", action="append", help="height bound (repeatable)")
-    p_count.add_argument("--B-range", dest="B_range", help="START:STOP:geometric:N")
+    p_count.add_argument("--B", action="append", type=_height, help="height bound (repeatable)")
+    p_count.add_argument(
+        "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
+    )
     p_count.add_argument(
         "--method",
         choices=["brute", "torsor", "fast", "both"],
         default="fast",
     )
-    p_count.add_argument("--threads", type=int, default=_default_threads())
+    p_count.add_argument("--threads", type=_positive_int, default=threads, help=threads_help)
     p_count.add_argument("--out", help="output path (default stdout)")
     p_count.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_const = sub.add_parser("constant", help="compute the leading constant", parents=[shared])
-    p_const.add_argument("--trunc-prime", dest="trunc_prime", type=int, default=10**5)
-    p_const.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-9)
+    p_const.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5)
+    p_const.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9)
     p_const.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run the verification suite", parents=[shared])
-    p_verify.add_argument("--B", type=int, default=200)
+    p_verify.add_argument("--B", type=_height, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=10_000)
-    p_verify.add_argument("--grid", type=int, default=12)
+    p_verify.add_argument("--samples", type=_positive_int, default=10_000)
+    p_verify.add_argument("--grid", type=_positive_int, default=12)
 
     p_fit = sub.add_parser("fit", help="fit the counting function", parents=[shared])
     p_fit.add_argument("--counts", help="CSV of existing counts (B,count,...)")
-    p_fit.add_argument("--B-range", dest="B_range", help="START:STOP:geometric:N")
+    p_fit.add_argument("--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N")
     p_fit.add_argument("--method", choices=["torsor", "fast"], default="fast")
-    p_fit.add_argument("--threads", type=int, default=_default_threads())
+    p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help)
     p_fit.add_argument("--c-ref", dest="c_ref", type=float, default=None)
-    p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=int, default=10**5)
-    p_fit.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-9)
+    p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5)
+    p_fit.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9)
     p_fit.add_argument("--out", help="fit report JSON path")
     p_fit.add_argument("--plot-csv", dest="plot_csv", help="plot-ready CSV path")
     return parser, {"count": p_count, "constant": p_const, "verify": p_verify, "fit": p_fit}
@@ -408,12 +395,7 @@ def build_parser():
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
-    _apply_config_file(argv, parser, subparsers)
     args = parser.parse_args(argv)
-    if getattr(args, "quad_tol", None) is not None and not 0 < args.quad_tol <= 1e-3:
-        parser.error("--quad-tol must lie in (0, 1e-3]")
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
     handlers = {
         "count": _cmd_count,
         "constant": _cmd_constant,
@@ -421,7 +403,11 @@ def main(argv=None) -> int:
         "fit": _cmd_fit,
     }
     try:
-        return handlers[args.command](args, parser)
+        if args.config:
+            _apply_config_file(args, argv, parser, subparsers)
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        subparsers[args.command].error(str(exc))
     except (ArithmeticError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

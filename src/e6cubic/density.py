@@ -149,15 +149,18 @@ class EulerProduct:
 def omega0(P: int = 10**5) -> EulerProduct:
     """Product of omega_p over p <= P, in ascending order of p.
 
+    Each factor is the int/int true division of omega_p's numerator by its
+    denominator, which Python rounds correctly: the same float as
+    ``float(omega_p(p))``, without a Fraction per prime.
+
     The tail satisfies |log prod_{p > P} omega_p| <= 27 * sum_{p > P} 1/p^2
     <= 27/P, so the true value lies in [value * exp(-27/P), value].
     """
     if P < 100:
         raise ValueError("truncation prime must be at least 100")
     value = 1.0
-    for p in _primes_upto(P):
-        p = int(p)
-        value *= float(omega_p(p))
+    for p in _primes_upto(P).tolist():
+        value *= ((p - 1) ** 7 * (p * p + 7 * p + 1)) / p**9
     tail = value * (1.0 - math.exp(-_OMEGA_LOG_DECAY / P))
     return EulerProduct(value, int(P), tail)
 

@@ -24,7 +24,8 @@ class PropertyResult:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        """No check failed, and at least one ran: an empty batch proves nothing."""
+        return self.checks > 0 and self.failures == 0
 
 
 def _bijection_checks(B):

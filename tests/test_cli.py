@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from e6cubic import cli
+from e6cubic import cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +104,10 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 4
 
+    def test_property_without_checks_does_not_pass(self):
+        assert not verify.PropertyResult("empty", checks=0, failures=0).passed
+        assert verify.PropertyResult("one", checks=1, failures=0).passed
+
 
 class TestFit:
     @staticmethod
@@ -184,6 +188,89 @@ class TestConfigFile:
             capsys, "count", "--config", str(cfg), "--B", "5", "--method", "fast"
         )
         assert json.loads(out)[0]["method"] == "fast"
+
+
+class TestConfigSemantics:
+    @staticmethod
+    def count_rows(capsys, tmp_path, config, *argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, _ = run_cli(capsys, *[a.replace("CFG", str(cfg)) for a in argv])
+        assert code == 0
+        return [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+
+    def test_file_height_is_counted(self, capsys, tmp_path):
+        rows = self.count_rows(capsys, tmp_path, "B=50\n", "count", "--config", "CFG")
+        assert rows == [["50", "595", "fast"]]
+
+    def test_command_line_height_replaces_the_files(self, capsys, tmp_path):
+        rows = self.count_rows(capsys, tmp_path, "B=5\n", "count", "--config", "CFG", "--B", "7")
+        assert [r[0] for r in rows] == ["7"]
+
+    def test_config_before_the_subcommand(self, capsys, tmp_path):
+        rows = self.count_rows(
+            capsys, tmp_path, "method=torsor\n", "--config", "CFG", "count", "--B", "5"
+        )
+        assert rows == [["5", "27", "torsor"]]
+
+    def test_key_of_another_subcommand_ignored(self, capsys, tmp_path):
+        rows = self.count_rows(
+            capsys, tmp_path, "trunc_prime=2000\n", "count", "--config", "CFG", "--B", "5"
+        )
+        assert rows == [["5", "27", "fast"]]
+
+
+# (files to write into tmp_path, argv with {tmp} for tmp_path); each must exit 2
+CFG = "{tmp}/run.cfg"
+USAGE_ERRORS = {
+    "config-choice": ({"run.cfg": "format=xml\n"}, ["count", "--config", CFG, "--B", "5"]),
+    "config-height-zero": ({"run.cfg": "B=0\n"}, ["count", "--config", CFG]),
+    "config-height-garbage": ({"run.cfg": "B=abc\n"}, ["count", "--config", CFG]),
+    "config-trunc-prime": ({"run.cfg": "trunc_prime=abc\n"}, ["constant", "--config", CFG]),
+    "config-unknown-key": ({"run.cfg": "bogus_key=1\n"}, ["count", "--config", CFG, "--B", "5"]),
+    "fit-trunc-prime": ({}, ["fit", "--B-range", "100:200:geometric:3", "--trunc-prime", "10"]),
+    "verify-negative-height": ({}, ["verify", "--B", "-5"]),
+    "verify-negative-samples": ({}, ["verify", "--samples", "-3"]),
+    "verify-negative-grid": ({}, ["verify", "--grid", "-1"]),
+    "fit-missing-counts": ({}, ["fit", "--counts", "{tmp}/missing.csv"]),
+    "fit-counts-without-B": ({"c.csv": "count,method\n5,fast\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
+    "fit-counts-not-integer": ({"c.csv": "B,count\n5,x\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
+    "count-unwritable-out": ({}, ["count", "--B", "5", "--out", "{tmp}/no/such/dir/x.csv"]),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("files, argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+    def test_exits_2_with_error_line(self, capsys, tmp_path, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "counted" not in err  # rejected before any count ran
+
+    def test_malformed_thread_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("E6CUBIC_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--B", "5"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_threads_flag_overrides_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("E6CUBIC_THREADS", "abc")
+        code, out, _ = run_cli(capsys, "count", "--B", "5", "--threads", "1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("5,27,")
+
+
+@pytest.mark.parametrize("argv", [[], ["count"], ["constant"], ["verify"], ["fit"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 class TestBRangeParser:

@@ -65,6 +65,14 @@ class TestEulerProduct:
         with pytest.raises(ValueError):
             density.omega0(50)
 
+    @pytest.mark.parametrize("P", [2000, 10**4])
+    def test_product_of_exact_factors_bit_for_bit(self, P):
+        expected = 1.0
+        for p in range(2, P + 1):
+            if arith.is_prime(p):
+                expected *= float(density.omega_p(p))
+        assert density.omega0(P).value == expected
+
 
 class TestArchimedean:
     def test_g1_whole_interval(self):
