@@ -5,9 +5,7 @@ numerical check of the expected leading constant."""
 from .arith import (
     CongruenceCount,
     count_congruence_interval,
-    eta,
     factorize,
-    mobius,
     omega_distinct,
     phi_star,
     psi_frac,
@@ -20,7 +18,6 @@ from .counting import (
     counts_upto,
     enumerate_points,
     enumerate_torsor_points,
-    HeightBounds,
 )
 from .density import (
     ALPHA,
@@ -41,8 +38,8 @@ from .density import (
     peyre_constant,
     vartheta,
 )
-from .records import CountReport
 from .surface import (
+    CountReport,
     RationalPoint,
     brute_count,
     brute_counts_upto,

@@ -1,8 +1,9 @@
 """Exact elementary number theory.
 
-Factorization, the classical multiplicative functions, square roots modulo
-arbitrary moduli, and exact interval congruence counts built on the sawtooth
-function.  Everything in this module is exact: values are ``int`` or
+Factorization, the multiplicative functions omega and phi*, square roots
+modulo arbitrary moduli (the paper's root count eta(a; q) is
+``len(sqrt_mod(a, q))``), and exact interval congruence counts built on the
+sawtooth function.  Everything in this module is exact: values are ``int`` or
 ``Fraction``, never floats, so the counting identities hold as equalities.
 """
 
@@ -16,11 +17,8 @@ __all__ = [
     "is_prime",
     "factorize",
     "is_squarefree",
-    "mobius",
     "omega_distinct",
     "phi_star",
-    "eta",
-    "eta_scan",
     "sqrt_mod",
     "psi_frac",
     "psi_tilde",
@@ -139,16 +137,6 @@ def is_squarefree(n: int) -> bool:
     if n == 0:
         return False
     return all(e == 1 for _, e in factorize(n))
-
-
-def mobius(n: int) -> int:
-    """Moebius function: (-1)^k on squarefree n with k prime factors, else 0."""
-    if n < 1:
-        raise ValueError("mobius is defined for n >= 1")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def omega_distinct(n: int) -> int:
@@ -289,19 +277,6 @@ def sqrt_mod(a: int, q: int) -> list[int]:
     if q == 1:
         return [0]
     return _sqrt_mod_factored(a % q, q, factorize(q))
-
-
-def eta(a: int, q: int) -> int:
-    """Number of n in [1, q] with n^2 = a (mod q)."""
-    return len(sqrt_mod(a, q))
-
-
-def eta_scan(a: int, q: int) -> int:
-    """Reference implementation of :func:`eta` by exhaustive residue scan."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    a %= q
-    return sum(1 for n in range(1, q + 1) if (n * n - a) % q == 0)
 
 
 # --- sawtooth and interval congruence counting ----------------------------

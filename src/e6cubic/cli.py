@@ -15,9 +15,9 @@ argparse declaration, whatever its source:
 * a flag on the command line;
 * a ``key=value`` line of the ``--config`` file, parsed as ``--key=value`` by
   the chosen subcommand's own parser.  A key that only other subcommands
-  declare is ignored (their parsers still check its value); a key that none
-  declares is a usage error.  A flag on the command line overrides the
-  file's value for its option, ``--B`` included;
+  declare is ignored; a key that none declares is a usage error.  A flag on
+  the command line overrides the file's value for its option, ``--B``
+  included;
 * E6CUBIC_THREADS, the default of ``--threads``.
 
 A value that fails its check, and a file that cannot be read or written, is
@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def _write_reports(reports, path, fmt):
         lines += [f"{r.B},{r.count},{r.method},{r.elapsed_s:.6f}" for r in reports]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([r.as_dict() for r in reports], indent=2) + "\n"
+        text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
     _emit(text, path)
 
 
@@ -309,36 +309,39 @@ def _cmd_fit(args):
     return EXIT_OK
 
 
-def _apply_config_file(args, argv, parser, subparsers):
+def _apply_config_file(args, argv, parser, subparsers, declared):
     """Set in ``args`` the ``--config`` file's values of the options argv leaves unset.
 
-    Each ``key=value`` line becomes the token ``--key=value`` and goes through
-    the subcommand's own parser, which checks it like a flag.
+    Each ``key=value`` line names the option ``--key``.  One that the chosen
+    subcommand declares becomes the token ``--key=value`` and goes through
+    that subcommand's own parser, which checks it like a flag; one that only
+    other subcommands declare is skipped unread.
     """
     try:
         with open(args.config) as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
-    keys = {}  # token -> the key as the file writes it
+    tokens = []
     for line in lines:
         if line and not line.startswith("#"):
             key, _, value = (part.strip() for part in line.partition("="))
-            keys[f"--{key.replace('_', '-')}={value}"] = key
+            option = "--" + key.replace("_", "-")
+            if option in declared[args.command]:
+                tokens.append(f"{option}={value}")
+            elif not any(option in options for options in declared.values()):
+                raise _UsageError(f"unknown config key: {key}")
     sub = subparsers[args.command]
     # Without defaults, a parse holds a value only for the options its tokens give.
     sub.set_defaults(**dict.fromkeys(vars(args)))
     given = vars(parser.parse_args(argv))
-    from_file, unknown = sub.parse_known_args(list(keys))
-    for token in unknown:
-        if all(p.parse_known_args([token])[1] for p in subparsers.values()):
-            raise _UsageError(f"unknown config key: {keys[token]}")
-    for key, value in vars(from_file).items():
+    for key, value in vars(sub.parse_args(tokens)).items():
         if value is not None and given[key] is None:
             setattr(args, key, value)
 
 
 def build_parser():
+    """The parser, its subcommand parsers, and the option strings each subcommand declares."""
     parser = argparse.ArgumentParser(
         prog="e6cubic",
         description="Count rational points of bounded height on the E6 cubic "
@@ -347,54 +350,75 @@ def build_parser():
     parser.add_argument("--config", help="key=value file of default options")
     # SUPPRESS: a subcommand that is not given --config keeps the one given before it
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    config = shared.add_argument(
         "--config", default=argparse.SUPPRESS, help="key=value file of default options"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     threads = os.environ.get(_ENV_THREADS, "1")
     threads_help = f"worker processes (default: ${_ENV_THREADS}, else 1)"
+    declared = {}
+
+    def options(command, *actions):
+        declared[command] = {s for a in (config, *actions) for s in a.option_strings}
 
     p_count = sub.add_parser("count", help="run the counters", parents=[shared])
-    p_count.add_argument("--B", action="append", type=_height, help="height bound (repeatable)")
-    p_count.add_argument(
-        "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
+    options(
+        "count",
+        p_count.add_argument(
+            "--B", action="append", type=_height, help="height bound (repeatable)"
+        ),
+        p_count.add_argument(
+            "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
+        ),
+        p_count.add_argument(
+            "--method",
+            choices=["brute", "torsor", "fast", "both"],
+            default="fast",
+        ),
+        p_count.add_argument("--threads", type=_positive_int, default=threads, help=threads_help),
+        p_count.add_argument("--out", help="output path (default stdout)"),
+        p_count.add_argument("--format", choices=["csv", "json"], default="csv"),
     )
-    p_count.add_argument(
-        "--method",
-        choices=["brute", "torsor", "fast", "both"],
-        default="fast",
-    )
-    p_count.add_argument("--threads", type=_positive_int, default=threads, help=threads_help)
-    p_count.add_argument("--out", help="output path (default stdout)")
-    p_count.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_const = sub.add_parser("constant", help="compute the leading constant", parents=[shared])
-    p_const.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5)
-    p_const.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9)
-    p_const.add_argument("--out")
+    options(
+        "constant",
+        p_const.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),
+        p_const.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9),
+        p_const.add_argument("--out"),
+    )
 
     p_verify = sub.add_parser("verify", help="run the verification suite", parents=[shared])
-    p_verify.add_argument("--B", type=_height, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=_positive_int, default=10_000)
-    p_verify.add_argument("--grid", type=_positive_int, default=12)
+    options(
+        "verify",
+        p_verify.add_argument("--B", type=_height, default=200),
+        p_verify.add_argument("--seed", type=int, default=0),
+        p_verify.add_argument("--samples", type=_positive_int, default=10_000),
+        p_verify.add_argument("--grid", type=_positive_int, default=12),
+    )
 
     p_fit = sub.add_parser("fit", help="fit the counting function", parents=[shared])
-    p_fit.add_argument("--counts", help="CSV of existing counts (B,count,...)")
-    p_fit.add_argument("--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N")
-    p_fit.add_argument("--method", choices=["torsor", "fast"], default="fast")
-    p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help)
-    p_fit.add_argument("--c-ref", dest="c_ref", type=float, default=None)
-    p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5)
-    p_fit.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9)
-    p_fit.add_argument("--out", help="fit report JSON path")
-    p_fit.add_argument("--plot-csv", dest="plot_csv", help="plot-ready CSV path")
-    return parser, {"count": p_count, "constant": p_const, "verify": p_verify, "fit": p_fit}
+    options(
+        "fit",
+        p_fit.add_argument("--counts", help="CSV of existing counts (B,count,...)"),
+        p_fit.add_argument(
+            "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
+        ),
+        p_fit.add_argument("--method", choices=["torsor", "fast"], default="fast"),
+        p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help),
+        p_fit.add_argument("--c-ref", dest="c_ref", type=float, default=None),
+        p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),
+        p_fit.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9),
+        p_fit.add_argument("--out", help="fit report JSON path"),
+        p_fit.add_argument("--plot-csv", dest="plot_csv", help="plot-ready CSV path"),
+    )
+    subparsers = {"count": p_count, "constant": p_const, "verify": p_verify, "fit": p_fit}
+    return parser, subparsers, declared
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    parser, subparsers, declared = build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "count": _cmd_count,
@@ -404,7 +428,7 @@ def main(argv=None) -> int:
     }
     try:
         if args.config:
-            _apply_config_file(args, argv, parser, subparsers)
+            _apply_config_file(args, argv, parser, subparsers, declared)
         return handlers[args.command](args)
     except _UsageError as exc:
         subparsers[args.command].error(str(exc))

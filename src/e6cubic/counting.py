@@ -10,8 +10,9 @@ the torsor coordinates, so the whole counter runs on integer arithmetic:
 
 Three inner strategies share the same xi/tau1 nest:
 
-- the tau2 scan (``count_torsor``) tries every tau2 with |tau2| <= B/x0_unit;
-  it is the plain oracle.
+- the tau2 scan tries every tau2 with |tau2| <= B/x0_unit; it is the plain
+  oracle, reached through ``count_torsor`` for the count and through
+  ``_solutions(B, scheme, False)`` for the points, with no public knob.
 - the class walk (``enumerate_points``, ``enumerate_torsor_points``,
   ``counts_upto`` and ``verify``) solves
   tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo fl = xiL^3 * xi4^2 * xi5 with
@@ -34,14 +35,12 @@ the full count, so parallel runs are deterministic.
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterator
 
 from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
-from .records import CountReport
-from .surface import RationalPoint, _cumulative_counts
+from .surface import CountReport, RationalPoint, _cumulative_counts
 from .torsor import (
     F1_EXPONENTS,
     FL_EXPONENTS,
@@ -57,8 +56,6 @@ from .torsor import (
 )
 
 __all__ = [
-    "HeightBounds",
-    "CountReport",
     "count_torsor",
     "count_torsor_fast",
     "enumerate_points",
@@ -68,54 +65,6 @@ __all__ = [
 
 # Loop nest order: largest lambda exponent outermost, xi1 innermost.
 _LOOP_ORDER = (6, 5, 4, 3, 2, 1, 0)  # indices into XI_NAMES / LAMBDA
-
-
-@dataclass(frozen=True)
-class HeightBounds:
-    """Exact integer height data attached to one xi-tuple.
-
-    The float forms X0, X1, X2 are provided for inspection and for the
-    density computation; all counting decisions use the integer fields.
-    """
-
-    B: int
-    xi: tuple
-
-    @property
-    def x2(self) -> int:
-        return monomial(self.xi, LAMBDA)
-
-    @property
-    def x0_unit(self) -> int:
-        return monomial(self.xi, X0_EXPONENTS)
-
-    @property
-    def x3_unit(self) -> int:
-        return monomial(self.xi, X3_EXPONENTS)
-
-    @property
-    def f_ell(self) -> int:
-        return monomial(self.xi, FL_EXPONENTS)
-
-    def admissible(self) -> bool:
-        return self.x2 <= self.B
-
-    def tau1_max(self) -> int:
-        return self.B // self.x3_unit
-
-    def tau2_max(self) -> int:
-        return self.B // self.x0_unit
-
-    def X0(self) -> float:
-        return (self.x2 / self.B) ** (1.0 / 6.0)
-
-    def X1(self) -> float:
-        xi1, _, xi3, xiL, xi4, xi5, _ = self.xi
-        return (self.B * xiL**3 * xi4**2 * xi5 / (xi1**2 * xi3)) ** (1.0 / 3.0)
-
-    def X2(self) -> float:
-        _, xi2, _, xiL, xi4, xi5, _ = self.xi
-        return (self.B * xiL**3 * xi4**2 * xi5 / xi2) ** 0.5
 
 
 def _squarefree_table(limit):
@@ -416,26 +365,22 @@ def count_torsor_fast(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_S
     return CountReport(B, n, "fast", time.perf_counter() - t0, shards)
 
 
-def enumerate_torsor_points(
-    B: int, scheme: CoprimalityScheme = T1_SCHEME, fast: bool = True
-) -> Iterator[TorsorPoint]:
+def enumerate_torsor_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[TorsorPoint]:
     """All torsor points meeting the scheme and height conditions at B."""
-    for xi, t1, t2, tl, _, _, _ in _solutions(B, scheme, fast):
+    for xi, t1, t2, tl, _, _, _ in _solutions(B, scheme, True):
         yield TorsorPoint(*xi, t1, t2, tl)
 
 
-def enumerate_points(
-    B: int, scheme: CoprimalityScheme = T1_SCHEME, fast: bool = True
-) -> Iterator[RationalPoint]:
+def enumerate_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[RationalPoint]:
     """Surface points of height <= B as psi-images, each exactly once."""
-    for _, t1, t2, tl, x2, m0, m3 in _solutions(B, scheme, fast):
+    for _, t1, t2, tl, x2, m0, m3 in _solutions(B, scheme, True):
         yield RationalPoint(m0 * t2, tl, x2, m3 * t1)
 
 
-def counts_upto(Bmax: int, fast: bool = True, scheme: CoprimalityScheme = T1_SCHEME) -> list[int]:
+def counts_upto(Bmax: int, scheme: CoprimalityScheme = T1_SCHEME) -> list[int]:
     """N(B) for every B in [0, Bmax] from a single enumeration at Bmax."""
     heights = (
         max(x2, m0 * abs(t2), m3 * abs(t1), abs(tl))
-        for _, t1, t2, tl, x2, m0, m3 in _solutions(Bmax, scheme, fast)
+        for _, t1, t2, tl, x2, m0, m3 in _solutions(Bmax, scheme, True)
     )
     return _cumulative_counts(heights, Bmax)

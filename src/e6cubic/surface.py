@@ -3,7 +3,8 @@
 Point representation and normalization, the height, membership of the unique
 line, and an exhaustive counting oracle that scans primitive integer
 quadruples directly.  The oracle is deliberately simple: it is the reference
-against which the torsor-based counter is checked.
+against which the torsor-based counter is checked.  ``CountReport`` is the
+record that every counter, this one included, returns.
 """
 
 import math
@@ -13,9 +14,9 @@ from itertools import accumulate
 from typing import Iterator
 
 from .arith import factorize
-from .records import CountReport
 
 __all__ = [
+    "CountReport",
     "RationalPoint",
     "surface_form",
     "normalize",
@@ -25,6 +26,21 @@ __all__ = [
     "brute_count",
     "brute_counts_upto",
 ]
+
+
+@dataclass(frozen=True)
+class CountReport:
+    """One counting run: how many points of height <= B, and how it was obtained.
+
+    ``method`` is one of ``brute``, ``torsor``, ``fast``.  ``parts`` records
+    how many work slices the run was split into (1 for a sequential run).
+    """
+
+    B: int
+    count: int
+    method: str
+    elapsed_s: float
+    parts: int = 1
 
 
 def surface_form(x0: int, x1: int, x2: int, x3: int) -> int:

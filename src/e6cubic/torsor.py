@@ -111,13 +111,6 @@ class TorsorPoint:
     def xi(self):
         return self.coords()[:7]
 
-    @property
-    def taus(self):
-        return self.coords()[7:]
-
-    def value(self, name: str) -> int:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class CoprimalityScheme:
@@ -187,31 +180,29 @@ T2_SCHEME = (
 )
 
 
-def _coprime(a: int, b: int) -> bool:
-    return math.gcd(a, b) == 1
+def _scheme_holds(values: dict, scheme: CoprimalityScheme) -> bool:
+    """Every coprimality and squarefree flag of the scheme holds on ``values``.
+
+    ``values`` maps coordinate names to values; a flag that names a
+    coordinate missing from it is skipped.
+    """
+    for a, b in scheme.pairs:
+        if a in values and b in values and math.gcd(values[a], values[b]) != 1:
+            return False
+    for name in scheme.squarefree:
+        if name in values and not is_squarefree(values[name]):
+            return False
+    return True
 
 
 def satisfies_scheme(p: TorsorPoint, scheme: CoprimalityScheme) -> bool:
     """Check all pairwise coprimality and squarefreeness flags of a scheme."""
-    for a, b in scheme.pairs:
-        if not _coprime(p.value(a), p.value(b)):
-            return False
-    for name in scheme.squarefree:
-        if not is_squarefree(abs(p.value(name))):
-            return False
-    return True
+    return _scheme_holds(dict(zip(ALL_NAMES, p.coords())), scheme)
 
 
 def xi_scheme_satisfied(xi, scheme: CoprimalityScheme = T1_SCHEME) -> bool:
     """The xi-only part of a scheme, on a plain 7-tuple of positive integers."""
-    vals = dict(zip(XI_NAMES, xi))
-    for a, b in scheme.pairs:
-        if a in vals and b in vals and not _coprime(vals[a], vals[b]):
-            return False
-    for name in scheme.squarefree:
-        if name in vals and not is_squarefree(vals[name]):
-            return False
-    return True
+    return _scheme_holds(dict(zip(XI_NAMES, xi)), scheme)
 
 
 def psi(p: TorsorPoint) -> RationalPoint:
@@ -364,25 +355,16 @@ def phi_prime_matching_cases(n1, n3, n6, m1) -> list[int]:
 
 
 def _transport(p: TorsorPoint, expmap) -> TorsorPoint:
-    xi1, xi3, xi6 = p.xi1, p.xi3, p.xi6
     tau1 = p.tau1
-    primes = set()
-    for n in (xi1, xi3, xi6, abs(tau1)):
-        if n > 1:
-            primes.update(q for q, _ in factorize(n))
-
-    def val(n, q):
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
-        return e
-
+    # {prime: exponent} of xi1, xi3, xi6 and |tau1|
+    v1, v3, v6, vt = (
+        dict(factorize(n)) if n > 1 else {} for n in (p.xi1, p.xi3, p.xi6, abs(tau1))
+    )
     new1 = new3 = new6 = 1
     tau_mag = 1
-    for q in sorted(primes):
-        m = None if tau1 == 0 else val(abs(tau1), q)
-        a, b, c, d = expmap(val(xi1, q), val(xi3, q), val(xi6, q), m)
+    for q in sorted(v1.keys() | v3.keys() | v6.keys() | vt.keys()):
+        m = None if tau1 == 0 else vt.get(q, 0)
+        a, b, c, d = expmap(v1.get(q, 0), v3.get(q, 0), v6.get(q, 0), m)
         new1 *= q**a
         new3 *= q**b
         new6 *= q**c

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import arith, counting, surface, torsor
 
-__all__ = ["PropertyResult", "run_suite", "duplicate_images_with_scheme"]
+__all__ = ["PropertyResult", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,3 @@ def run_suite(
     out.append(PropertyResult("eta_bound_odd_moduli", c, f, d))
     return out
 
-
-def duplicate_images_with_scheme(scheme, B: int = 60) -> bool:
-    """True when enumeration under ``scheme`` emits duplicate surface points.
-
-    Used to validate the harness: dropping a coprimality condition (for
-    example xi1-xi2) must produce detectable duplicates.
-    """
-    seen = set()
-    for xi, t1, t2, tl, x2, m0, m3 in counting._solutions(B, scheme, True):
-        key = surface.normalize((m0 * t2, tl, x2, m3 * t1)).coords()
-        if key in seen:
-            return True
-        seen.add(key)
-    return False

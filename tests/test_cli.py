@@ -219,6 +219,24 @@ class TestConfigSemantics:
         )
         assert rows == [["5", "27", "fast"]]
 
+    def test_key_of_another_subcommand_is_not_checked(self, capsys, tmp_path):
+        # constant's check would reject this value; count does not read it
+        rows = self.count_rows(
+            capsys, tmp_path, "trunc_prime=abc\n", "count", "--config", "CFG", "--B", "5"
+        )
+        assert rows == [["5", "27", "fast"]]
+
+    def test_other_subcommands_defaults_are_not_converted(self, capsys, tmp_path, monkeypatch):
+        # a malformed E6CUBIC_THREADS only concerns the subcommands with --threads
+        monkeypatch.setenv("E6CUBIC_THREADS", "abc")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=torsor\n")
+        code, out, err = run_cli(
+            capsys, "constant", "--trunc-prime", "1000", "--config", str(cfg)
+        )
+        assert code == 0, err
+        assert "c" in json.loads(out)
+
 
 # (files to write into tmp_path, argv with {tmp} for tmp_path); each must exit 2
 CFG = "{tmp}/run.cfg"
@@ -228,6 +246,7 @@ USAGE_ERRORS = {
     "config-height-garbage": ({"run.cfg": "B=abc\n"}, ["count", "--config", CFG]),
     "config-trunc-prime": ({"run.cfg": "trunc_prime=abc\n"}, ["constant", "--config", CFG]),
     "config-unknown-key": ({"run.cfg": "bogus_key=1\n"}, ["count", "--config", CFG, "--B", "5"]),
+    "config-unknown-key-constant": ({"run.cfg": "bogus_key=1\n"}, ["constant", "--config", CFG]),
     "fit-trunc-prime": ({}, ["fit", "--B-range", "100:200:geometric:3", "--trunc-prime", "10"]),
     "verify-negative-height": ({}, ["verify", "--B", "-5"]),
     "verify-negative-samples": ({}, ["verify", "--samples", "-3"]),

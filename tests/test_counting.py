@@ -1,18 +1,25 @@
 import collections
-import math
-from fractions import Fraction
 
 import pytest
 
-from e6cubic import counting, surface, torsor, verify
-from e6cubic.counting import HeightBounds, _count_part
+from e6cubic import counting, surface, torsor
+from e6cubic.counting import _count_part
+
+
+def scanned(B, scheme=torsor.T1_SCHEME):
+    """The torsor solutions of the tau2 scan, the counter's plain oracle."""
+    return counting._solutions(B, scheme, False)
 
 
 class TestOracleEquivalence:
     def test_matches_brute_scan_up_to_60(self):
-        brute = surface.brute_counts_upto(60)
-        assert counting.counts_upto(60, fast=False) == brute
-        assert counting.counts_upto(60, fast=True) == brute
+        # equal point lists at 60 give equal counts at every B <= 60
+        scan = sorted(
+            surface.RationalPoint(m0 * t2, tl, x2, m3 * t1)
+            for _, t1, t2, tl, x2, m0, m3 in scanned(60)
+        )
+        assert scan == sorted(surface.brute_points(60))
+        assert counting.counts_upto(60) == surface.brute_counts_upto(60)
 
     def test_spot_counts(self):
         for B in (1, 37, 100):
@@ -107,53 +114,27 @@ class TestEnumeration:
             assert torsor.torsor_residual(t.coords()) == 0
 
     def test_scan_and_class_walk_agree_pointwise(self):
-        scan = sorted(t.coords() for t in counting.enumerate_torsor_points(80, fast=False))
-        walk = sorted(t.coords() for t in counting.enumerate_torsor_points(80, fast=True))
+        scan = sorted(xi + (t1, t2, tl) for xi, t1, t2, tl, *_ in scanned(80))
+        walk = sorted(t.coords() for t in counting.enumerate_torsor_points(80))
         assert scan == walk
 
 
-class TestHeightBounds:
-    def test_integer_forms_match_float_forms(self):
-        B = 80
-        for t in counting.enumerate_torsor_points(B):
-            hb = HeightBounds(B, t.xi)
-            assert hb.admissible()
-            # x2 bound vs X0 <= 1
-            assert (hb.X0() <= 1) == (hb.x2 <= B)
-            # tau ranges against the scaled float forms
-            if t.tau1:
-                exact = Fraction(abs(t.tau1) * hb.x3_unit, B)
-                scaled = abs(t.tau1 / hb.X1()) * hb.X0() ** 4
-                assert math.isclose(float(exact), scaled, rel_tol=1e-9)
-                assert exact <= 1
-            if t.tau2:
-                exact = Fraction(abs(t.tau2) * hb.x0_unit, B)
-                scaled = abs(t.tau2 / hb.X2()) * hb.X0() ** 3
-                assert math.isclose(float(exact), scaled, rel_tol=1e-9)
-                assert exact <= 1
-            assert abs(t.tau1) <= hb.tau1_max()
-            assert abs(t.tau2) <= hb.tau2_max()
-
-    def test_x1_bound_is_the_equation_combination(self):
-        # |tauL| <= B encodes |(tau2/X2)^2 + (tau1/X1)^3| <= 1
-        B = 60
-        for t in counting.enumerate_torsor_points(B):
-            hb = HeightBounds(B, t.xi)
-            lhs = (t.tau2 / hb.X2()) ** 2 + (t.tau1 / hb.X1()) ** 3
-            assert math.isclose(lhs, -t.tauL / B, rel_tol=1e-9, abs_tol=1e-9)
-            assert abs(t.tauL) <= B
-
-
 class TestSchemeInjection:
+    @staticmethod
+    def images(scheme):
+        return [torsor.psi(t) for t in counting.enumerate_torsor_points(60, scheme)]
+
     def test_dropping_coprimality_creates_duplicates(self):
         # xi3-tau1 coprimality separates the two normal forms; dropping it
-        # admits both representatives of the same point, which the harness
-        # must flag as duplicate images
-        mutant = torsor.T1_SCHEME.without_pair("xi3", "tau1")
-        assert verify.duplicate_images_with_scheme(mutant, B=60)
+        # admits both representatives of the same point, which must show as
+        # duplicate images of the same point set
+        images = self.images(torsor.T1_SCHEME.without_pair("xi3", "tau1"))
+        assert len(set(images)) < len(images)
+        assert set(images) == set(self.images(torsor.T1_SCHEME))
 
     def test_reference_scheme_is_duplicate_free(self):
-        assert not verify.duplicate_images_with_scheme(torsor.T1_SCHEME, B=60)
+        images = self.images(torsor.T1_SCHEME)
+        assert len(set(images)) == len(images)
 
     def test_equation_makes_xi1_xi2_coprimality_redundant(self):
         # a shared prime of xi1 and xi2 would divide tauL through the
