@@ -15,6 +15,7 @@ from .arith import (
 from .counting import (
     count_torsor,
     count_torsor_fast,
+    count_torsor_grid,
     counts_upto,
     enumerate_points,
     enumerate_torsor_points,

@@ -105,11 +105,13 @@ _positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer")
 _trunc_prime = _checked(int, lambda p: p >= 10**3, "must be an integer >= 1000")
 _quad_tol = _checked(float, lambda t: 0 < t <= 1e-3, "must be a number in (0, 1e-3]")
 
-# Looked up when called, so that a counter replaced on its module is the one run.
+# method -> reports for a list of heights, in its order.  "fast" counts them all
+# in one pass; the others count each height on its own.  Looked up when called,
+# so that a counter replaced on its module is the one run.
 _COUNTERS = {
-    "torsor": lambda B, threads: counting.count_torsor(B, threads=threads),
-    "fast": lambda B, threads: counting.count_torsor_fast(B, threads=threads),
-    "brute": lambda B, threads: surface.brute_count(B),
+    "torsor": lambda Bs, threads: [counting.count_torsor(B, threads=threads) for B in Bs],
+    "fast": lambda Bs, threads: counting.count_torsor_grid(Bs, threads=threads),
+    "brute": lambda Bs, threads: [surface.brute_count(B) for B in Bs],
 }
 
 
@@ -128,11 +130,20 @@ def _cmd_count(args):
     if not b_values:
         raise _UsageError("no B values given (use --B or --B-range)")
     both = args.method == "both"
+    methods = ["torsor", "fast", "brute"] if both else [args.method]
+
+    def methods_at(B):  # a "both" run leaves out brute above 1000
+        return [m for m in methods if not (both and m == "brute" and B > 1000)]
+
+    # each method counts all its heights at once; rows keep the order of b_values
+    columns = {
+        m: iter(_COUNTERS[m]([B for B in b_values if m in methods_at(B)], args.threads))
+        for m in methods
+    }
     reports = []
     verdict_ok = True
     for B in b_values:
-        methods = (["torsor", "fast"] + (["brute"] if B <= 1000 else [])) if both else [args.method]
-        runs = [_COUNTERS[m](B, args.threads) for m in methods]
+        runs = [next(columns[m]) for m in methods_at(B)]
         reports.extend(runs)
         if both and len({r.count for r in runs}) != 1:
             verdict_ok = False
@@ -272,10 +283,9 @@ def _cmd_fit(args):
         samples = _read_counts_csv(args.counts)
     elif args.B_range:
         samples = []
-        for B in args.B_range:
-            rep = _COUNTERS[args.method](B, args.threads)
-            print(f"counted B={B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
-            samples.append((B, rep.count))
+        for rep in _COUNTERS[args.method](args.B_range, args.threads):
+            print(f"counted B={rep.B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
+            samples.append((rep.B, rep.count))
     else:
         raise _UsageError("fit needs --counts or --B-range")
     c_ref = args.c_ref

@@ -8,7 +8,8 @@ the torsor coordinates, so the whole counter runs on integer arithmetic:
     |tau2| * xi^X0_EXPONENTS <= B   (the x0 bound)
     |tauL| <= B                     (the x1 bound; tauL is solved for)
 
-Three inner strategies share the same xi/tau1 nest:
+Three inner strategies share the same xi/tau1 nest, and the class count
+serves a fourth use:
 
 - the tau2 scan tries every tau2 with |tau2| <= B/x0_unit; it is the plain
   oracle, reached through ``count_torsor`` for the count and through
@@ -23,9 +24,17 @@ Three inner strategies share the same xi/tau1 nest:
   with p | tau2 or p | tauL are a few residues mod each prime p of the
   partner products, and inclusion-exclusion over their CRT classes counts
   the k that avoid them all.
+- the grid count (``count_torsor_grid``) is the class count at the largest
+  height of a grid, which counts every smaller height on the way: a
+  (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
+  m3 * |tau1| <= B_j, and only its tau2 window shrinks with B_j, so the
+  inclusion-exclusion terms of a class serve every height.  There is one
+  class-count loop, over a sorted tuple of heights; ``count_torsor_fast``
+  runs it on one height.
 
-All three must agree exactly, the class count with the class walk at every
-(xi, tau1); the brute surface scan is the independent oracle for all.
+All must agree exactly, the class count with the class walk at every
+(xi, tau1), the grid with the class count at every height; the brute surface
+scan is the independent oracle for all.
 
 Parallel counts deal the xi tuples round-robin to the workers, in the
 canonical order of ``_xi_tuples``: a xi tuple's tau1/tau2 sums are
@@ -35,9 +44,10 @@ the full count, so parallel runs are deterministic.
 
 import math
 import time
-from itertools import islice
+from bisect import bisect_left
+from itertools import accumulate, islice
 from multiprocessing import Pool
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts
@@ -58,6 +68,7 @@ from .torsor import (
 __all__ = [
     "count_torsor",
     "count_torsor_fast",
+    "count_torsor_grid",
     "enumerate_points",
     "enumerate_torsor_points",
     "counts_upto",
@@ -101,13 +112,21 @@ def _scheme_tables(scheme):
     return sf, earlier, tau_partners
 
 
-def _xi_tuples(B, scheme):
-    """Yield admissible xi-tuples (canonical order) with xi^LAMBDA <= B.
+def _height(B):
+    """B, checked to be a height bound."""
+    if B < 0:
+        raise ValueError("height bound must be non-negative")
+    return B
 
-    Applies the xi conditions of the scheme incrementally.
+
+def _xi_tuples(B, scheme):
+    """Admissible xi-tuples (canonical order) with xi^LAMBDA <= B, as an iterator.
+
+    Applies the xi conditions of the scheme incrementally.  Every count and
+    enumeration starts here, so a negative B raises here, at the call.
     """
     sf, earlier, _ = _scheme_tables(scheme)
-    sqfree = _squarefree_table(math.isqrt(B) + 1)
+    sqfree = _squarefree_table(math.isqrt(_height(B)) + 1)
     exps = tuple(LAMBDA[i] for i in _LOOP_ORDER)
     vals = [1] * 7  # in loop order
     gcd = math.gcd
@@ -131,8 +150,7 @@ def _xi_tuples(B, scheme):
                 yield from rec(level + 1, m)
             v += 1
 
-    if B >= 1:
-        yield from rec(0, 1)
+    return rec(0, 1) if B >= 1 else iter(())
 
 
 def _frames(B, scheme, xis=None):
@@ -155,12 +173,28 @@ def _frames(B, scheme, xis=None):
         )
 
 
-def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-    """Yield (tau1, A, roots, intervals) for the tau1 with a tau2 class to visit.
+def _tau2_window(bfl, A, xi2, t2max):
+    """The tau2 window (lo, hi) of a height B, with bfl = B * fl.
 
-    A = tau1^3 * f1; the tau2 with |tauL| <= B and |tau2| <= tau2_max lie in
-    the intervals, and tauL is integral exactly for tau2 = r (mod fl) with r
-    in roots, the square roots of -A / xi2 modulo fl.
+    |tauL| <= B, i.e. |tau2^2*xi2 + A| <= bfl, and the x0 bound
+    |tau2| <= t2max hold iff lo <= |tau2| <= hi.  lo > hi when no tau2
+    qualifies, and hi = -1 when A > bfl.  ``_tau1_visits`` computes the
+    same window inline at the top height.
+    """
+    hi_num = bfl - A
+    if hi_num < 0:
+        return 0, -1
+    lo_num = -bfl - A
+    lo = math.isqrt(-((-lo_num) // xi2) - 1) + 1 if lo_num > 0 else 0  # ceil(lo_num / xi2)
+    return lo, min(t2max, math.isqrt(hi_num // xi2))
+
+
+def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+    """Yield (tau1, A, roots, lo, hi) for the tau1 with a tau2 class to visit.
+
+    A = tau1^3 * f1; the tau2 with |tauL| <= B and |tau2| <= tau2_max are
+    those with lo <= |tau2| <= hi, and tauL is integral exactly for
+    tau2 = r (mod fl) with r in roots, the square roots of -A / xi2 modulo fl.
     """
     gcd = math.gcd
     isqrt = math.isqrt
@@ -172,18 +206,14 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
         for t1 in run:
             if gcd(t1, c1) != 1:
                 continue
-            # tau2 window from |tauL| <= B, i.e. |tau2^2*xi2 + A| <= B*fl,
-            # intersected with |tau2| <= t2max
             A = t1 * t1 * t1 * f1
+            # the window of _tau2_window(bfl, A, xi2, t2max), inline: this
+            # loop runs for every tau1, and a call costs about 3% of a count
             hi_num = bfl - A
             if hi_num < 0:
                 break  # stays negative for all larger t1
             lo_num = -bfl - A
-            if lo_num > 0:
-                lo_sq = -((-lo_num) // xi2)  # ceil(lo_num / xi2)
-                lo = isqrt(lo_sq - 1) + 1
-            else:
-                lo = 0
+            lo = isqrt(-((-lo_num) // xi2) - 1) + 1 if lo_num > 0 else 0
             if lo > t2max:
                 break  # window above the x0 bound for good (monotone in |t1|)
             hi = min(t2max, isqrt(hi_num // xi2))
@@ -195,8 +225,7 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
                 roots = _sqrt_mod_factored(target, fl, fl_factors)
                 root_cache[target] = roots
             if roots:
-                ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
-                yield t1, A, roots, ivs
+                yield t1, A, roots, lo, hi
 
 
 def _solutions(B, scheme, fast, xis=None):
@@ -205,7 +234,8 @@ def _solutions(B, scheme, fast, xis=None):
     for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
         if fast:
-            for t1, A, roots, ivs in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+            for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+                ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
                 for r in roots:
                     for a_lo, a_hi in ivs:
                         start = a_lo + ((r - a_lo) % fl)
@@ -230,18 +260,20 @@ def _solutions(B, scheme, fast, xis=None):
                         yield (xi, t1, t2, tl, x2, m0, m3)
 
 
-def _count_avoiding(lo, hi, bad):
-    """Number of k in [lo, hi] with k mod p outside S for every (p, S) in bad.
+def _avoiding_terms(lo, hi, bad):
+    """(n, terms): n the number of k in [lo, hi] with k mod p outside S for
+    every (p, S) in bad, terms the inclusion-exclusion terms that give it.
 
-    Inclusion-exclusion over the CRT classes of the bad residues: a term is
-    an arithmetic progression (first k, step) inside [lo, hi] with a sign;
-    refining it by one bad residue of the next prime gives a term of the
-    opposite sign.  An empty term is dropped together with all its
-    refinements, so the work stays near the number of nonempty classes.
+    A term (first, step, sign) is the progression of k = first (mod step)
+    from first on, first in [lo, hi]; refining it by one bad residue of the
+    next prime gives a term of the opposite sign.  A term with no k in
+    [lo, hi] is dropped together with all its refinements, so the work stays
+    near the number of nonempty classes.  The terms also count every
+    subrange of [lo, hi] (``_count_between``).
     """
-    total = hi - lo + 1
-    if total <= 0:
-        return 0
+    n = hi - lo + 1
+    if n <= 0:
+        return 0, []
     terms = [(lo, 1, 1)]
     for p, residues in bad:
         refined = []
@@ -251,24 +283,98 @@ def _count_avoiding(lo, hi, bad):
             for s in residues:
                 k = first + step * ((s - first) * inv % p)
                 if k <= hi:
-                    total -= sign * ((hi - k) // step_p + 1)
+                    n -= sign * ((hi - k) // step_p + 1)
                     refined.append((k, step_p, -sign))
         terms += refined
-    return total
+    return n, terms
 
 
-def _class_counts(B, scheme, xis=None):
-    """Yield (xi, tau1, n) for each (xi, tau1) visit, n its number of points.
+def _count_avoiding(lo, hi, bad):
+    """Number of k in [lo, hi] with k mod p outside S for every (p, S) in bad."""
+    return _avoiding_terms(lo, hi, bad)[0]
+
+
+def _count_between(terms, a, b):
+    """Number of k in [a, b] that avoid the bad residues, for terms from
+    _avoiding_terms(lo, hi, bad) with lo <= a and b <= hi."""
+    n = 0
+    for first, step, sign in terms:
+        if first <= b:
+            below = a - 1 - first  # the progression's k < a, none if first >= a
+            n += sign * ((b - first) // step - (below // step if below >= 0 else -1))
+    return n
+
+
+def _window_runs(Bs, jx, x2, x3, m0, fl, xi2, A, lo, hi):
+    """The runs of heights of Bs with the same tau2 window, for one visit.
+
+    (lo, hi) is the visit's window at the top height, Bs[jx:] the heights
+    with x2 <= Bj and x3 = m3*|tau1|.  Returns (ivs, starts): ivs the tau2
+    intervals of the top window, each as (a_lo, a_hi, inner) with inner the
+    (d, a_lo, a_hi) of the smaller windows inside it, d the index of their
+    run; and starts[d] the lowest index into Bs of run d, whose heights go
+    up to starts[d - 1] - 1 (to the top for d = 0).  The windows are nested,
+    and nonempty down to some height.
+    """
+    if lo == 0:
+        ivs = ((-hi, hi, []),)
+    else:
+        ivs = ((-hi, -lo, []), (lo, hi, []))
+    starts = []
+    j = len(Bs) - 1  # the window (lo, hi) holds at Bs[j:] down to the run's start
+    while j > jx and Bs[j - 1] >= x3:
+        lo_j, hi_j = _tau2_window(Bs[j - 1] * fl, A, xi2, Bs[j - 1] // m0)
+        if (lo_j, hi_j) == (lo, hi):
+            # the run goes on down to the least Bj with x2, x3 <= Bj and
+            # Bj // m0 >= hi, (Bj*fl - A) // xi2 >= hi^2 and
+            # lo^2*xi2 + A >= -Bj*fl, which give this window
+            least = max(
+                hi * m0, -(-(hi * hi * xi2 + A) // fl), -((A + lo * lo * xi2) // fl), x2, x3
+            )
+            j = bisect_left(Bs, least, 0, j - 1)
+            continue
+        starts.append(j)
+        if lo_j > hi_j:
+            return ivs, starts
+        j -= 1
+        lo, hi = lo_j, hi_j
+        d = len(starts)
+        if lo == 0:
+            ivs[0][2].append((d, -hi, hi))
+        else:
+            ivs[0][2].append((d, -hi, -lo))
+            ivs[-1][2].append((d, lo, hi))
+    starts.append(j)
+    return ivs, starts
+
+
+def _grid_class_counts(Bs, scheme, xis=None):
+    """Yield (xi, tau1, starts, ns) for each (xi, tau1) visit at B = Bs[-1].
+
+    Bs is a sorted tuple of distinct heights.  The heights where the visit
+    has points fall into runs with the same tau2 window, from the top down:
+    the visit has ns[d] points at every Bs[j] with starts[d] <= j and, for
+    d > 0, j < starts[d - 1]; none below starts[-1].  With one height,
+    ns[0] is the count.
 
     Counts each (root r, tau2 interval) class without walking it.  Writing
     tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
     n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
-    p | tau2 or p | tauL form a few residues mod p, and _count_avoiding
-    counts the k left in the interval.  For p not dividing fl, k -> tau2 is
-    a bijection mod p, and the bad tau2 residues (0, and the roots of
-    tau2^2*xi2 + A) are found once per visit.  tau2 = 0 and tauL = 0 fall in
-    every bad set, as gcd(0, c) = c demands.
+    p | tau2 or p | tauL form a few residues mod p, and inclusion-exclusion
+    (``_avoiding_terms``) counts the k left in the interval.  For p not
+    dividing fl, k -> tau2 is a bijection mod p, and the bad tau2 residues
+    (0, and the roots of tau2^2*xi2 + A) are found once per visit.
+    tau2 = 0 and tauL = 0 fall in every bad set, as gcd(0, c) = c demands.
+
+    Everything but the tau2 window is shared by the heights: the visit
+    counts at B_j when x2 <= B_j and m3*|tau1| <= B_j, and its window at B_j
+    lies inside the window at every larger height.  So the terms of each
+    class are built once, on the top window, and evaluated on the smaller
+    ones.  ``_window_runs`` finds the runs of heights with the same window
+    from the bounds that give it, so a dense grid costs its distinct windows.
     """
+    top = len(Bs) - 1
+    B = Bs[top]
     _, _, (_, e2, el) = _scheme_tables(scheme)
     prime_cache = {}
 
@@ -278,7 +384,7 @@ def _class_counts(B, scheme, xis=None):
             ps = prime_cache[v] = tuple(p for p, _ in factorize(v)) if v > 1 else ()
         return ps
 
-    for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, xis):
+    for xi, x2, m0, m3, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
         flags = {}  # p -> (p | c2, p | cl)
         for i, v in enumerate(xi):
@@ -296,8 +402,14 @@ def _class_counts(B, scheme, xis=None):
                 free.append((p, in_c2, in_cl, m, pow(fl, -1, p)))
             else:
                 tied.append((p, in_c2, in_cl, 2 * xi2 % p))
-        for t1, A, roots, ivs in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-            n = 0
+        jx = bisect_left(Bs, x2)  # the heights Bs[jx:] have x2 <= Bj
+        for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+            if jx == top:  # no smaller height counts this xi tuple
+                ivs = ((-hi, hi, ()),) if lo == 0 else ((-hi, -lo, ()), (lo, hi, ()))
+                starts = (top,)
+            else:
+                ivs, starts = _window_runs(Bs, jx, x2, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
+            ns = [0] * len(starts)
             tau2_bad = []
             for p, in_c2, in_cl, m, fl_inv in free:
                 res = [0] if in_c2 else []
@@ -325,9 +437,25 @@ def _class_counts(B, scheme, xis=None):
                             elif n0 % p == 0:
                                 break  # p divides every tauL of the class
                     else:
-                        for a_lo, a_hi in ivs:
-                            n += _count_avoiding(-((r - a_lo) // fl), (a_hi - r) // fl, bad)
-            yield xi, t1, n
+                        for a_lo, a_hi, inner in ivs:
+                            k_lo, k_hi = -((r - a_lo) // fl), (a_hi - r) // fl
+                            if bad:
+                                n, terms = _avoiding_terms(k_lo, k_hi, bad)
+                                ns[0] += n
+                                for d, a_lo, a_hi in inner:
+                                    k_lo, k_hi = -((r - a_lo) // fl), (a_hi - r) // fl
+                                    ns[d] += _count_between(terms, k_lo, k_hi)
+                            else:
+                                ns[0] += k_hi - k_lo + 1
+                                for d, a_lo, a_hi in inner:
+                                    ns[d] += (a_hi - r) // fl + (r - a_lo) // fl + 1
+            yield xi, t1, starts, ns
+
+
+def _class_counts(B, scheme, xis=None):
+    """Yield (xi, tau1, n) for each (xi, tau1) visit, n its number of points."""
+    for xi, t1, _, ns in _grid_class_counts((B,), scheme, xis):
+        yield xi, t1, ns[0]
 
 
 def _count_part(args):
@@ -335,20 +463,42 @@ def _count_part(args):
     B, fast, parts, part, scheme = args
     xis = islice(_xi_tuples(B, scheme), part, None, parts)
     if fast:
-        return sum(n for _, _, n in _class_counts(B, scheme, xis))
+        return sum(ns[0] for _, _, _, ns in _grid_class_counts((B,), scheme, xis))
     return sum(1 for _ in _solutions(B, scheme, False, xis))
 
 
+def _grid_part(args):
+    """Points at each height of Bs of every parts-th xi tuple, from the part-th on."""
+    Bs, parts, part, scheme = args
+    xis = islice(_xi_tuples(Bs[-1], scheme), part, None, parts)
+    steps = [0] * (len(Bs) + 1)  # steps[j] = count at Bs[j] - count at Bs[j - 1]
+    for _, _, starts, ns in _grid_class_counts(Bs, scheme, xis):
+        end = len(Bs)
+        for j, n in zip(starts, ns):
+            steps[j] += n
+            steps[end] -= n
+            end = j
+    return tuple(accumulate(steps[:-1]))
+
+
+def _sharded(worker, job, threads):
+    """([worker(job(parts, part)) for part in range(parts)], parts), parts = threads.
+
+    With more than one part, the parts run on one pool of that many processes.
+    """
+    parts = max(1, int(threads))
+    jobs = [job(parts, part) for part in range(parts)]
+    if parts == 1:
+        return [worker(jobs[0])], 1
+    with Pool(parts) as pool:
+        return pool.map(worker, jobs), parts
+
+
 def _count(B, fast, threads, scheme):
-    if B < 0:
-        raise ValueError("height bound must be non-negative")
-    threads = max(1, int(threads))
-    if threads == 1:
-        return _count_part((B, fast, 1, 0, scheme)), 1
-    jobs = [(B, fast, threads, p, scheme) for p in range(threads)]
-    with Pool(threads) as pool:
-        partial = pool.map(_count_part, jobs)
-    return sum(partial), threads
+    partial, shards = _sharded(
+        _count_part, lambda parts, part: (B, fast, parts, part, scheme), threads
+    )
+    return sum(partial), shards
 
 
 def count_torsor(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
@@ -363,6 +513,29 @@ def count_torsor_fast(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_S
     t0 = time.perf_counter()
     n, shards = _count(B, True, threads, scheme)
     return CountReport(B, n, "fast", time.perf_counter() - t0, shards)
+
+
+def count_torsor_grid(
+    heights: Iterable[int], threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME
+) -> list[CountReport]:
+    """Exact N(B) for every B of heights, from one class-count pass at max(heights).
+
+    heights may come in any order and repeat; there is one report per entry,
+    in the order given, each as ``count_torsor_fast`` would give it.  All
+    reports of a call share one pass: elapsed_s is the wall time of the
+    whole pass and parts its number of worker processes.
+    """
+    t0 = time.perf_counter()
+    heights = [_height(B) for B in heights]
+    if not heights:
+        return []
+    Bs = tuple(sorted(set(heights)))
+    partial, shards = _sharded(
+        _grid_part, lambda parts, part: (Bs, parts, part, scheme), threads
+    )
+    counts = dict(zip(Bs, map(sum, zip(*partial))))
+    elapsed = time.perf_counter() - t0
+    return [CountReport(B, counts[B], "fast", elapsed, shards) for B in heights]
 
 
 def enumerate_torsor_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[TorsorPoint]:

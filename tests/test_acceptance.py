@@ -212,12 +212,9 @@ def test_criterion_10_asymptotic_diagnostic():
         f"c = {pc.c:.6e}"
     )
     print("    main term P = [" + ", ".join(f"{a:.5g}" for a in poly) + "]")
-    samples = []
     t0 = time.perf_counter()
-    for k in range(25):
-        B = round(10 ** (3 + 3 * k / 24))
-        rep = counting.count_torsor_fast(B, threads=THREADS)
-        samples.append((B, rep.count))
+    heights = [round(10 ** (3 + 3 * k / 24)) for k in range(25)]
+    samples = [(r.B, r.count) for r in counting.count_torsor_grid(heights, threads=THREADS)]
     elapsed = time.perf_counter() - t0
     print(f"    counted {len(samples)} samples up to 1e6 in {elapsed:.0f}s")
 

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from e6cubic import cli, verify
+from e6cubic import cli, counting, surface, verify
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,38 @@ class TestCount:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["B"] == 5 and payload[0]["count"] == 27
+
+    def test_rows_keep_order_and_repeats(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--B", "5", "--B", "3", "--B", "5", "--threads", "2")
+        assert code == 0
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert rows == [["5", "27", "fast"], ["3", "13", "fast"], ["5", "27", "fast"]]
+
+    def test_both_checks_the_grid_against_both_oracles(self, capsys):
+        argv = ["count", "--B", "40", "--B", "10", "--B-range", "10:40:linear:4", "--method", "both",
+                "--threads", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "verdict: equal" in err
+        brute = surface.brute_counts_upto(40)
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert rows == [
+            [str(B), str(brute[B]), method]
+            for B in (40, 10, 10, 20, 30, 40)
+            for method in ("torsor", "fast", "brute")
+        ]
+
+    def test_both_reports_a_wrong_grid(self, capsys, monkeypatch):
+        grid = counting.count_torsor_grid
+
+        def off_by_one_at_20(heights, threads=1):
+            return [replace(r, count=r.count + (r.B == 20)) for r in grid(heights, threads)]
+
+        monkeypatch.setattr(counting, "count_torsor_grid", off_by_one_at_20)
+        code, _, err = run_cli(capsys, "count", "--B-range", "10:40:linear:4", "--method", "both")
+        assert code == 1
+        assert "B=20: DISAGREE" in err and "B=30" not in err
+        assert "verdict: DISAGREE" in err
 
     def test_scientific_notation_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--B", "1e2", "--method", "fast")

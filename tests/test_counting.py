@@ -1,4 +1,5 @@
 import collections
+import random
 
 import pytest
 
@@ -65,6 +66,64 @@ class TestClassCount:
                     if all(k % p not in residues for p, residues in bad)
                 )
                 assert counting._count_avoiding(lo, hi, bad) == scan
+
+
+class TestGrid:
+    GRIDS = [
+        [10**4, 1, 0, 5000, 37, 37, 2000, 999, 1000, 1001],  # unsorted, repeats, 0 and 1
+        [round(100 * 100 ** (k / 24)) for k in range(25)],  # geometric, 100 to 1e4
+        list(range(90, 131)) + [130, 90],  # consecutive heights
+        random.Random(3).sample(range(2, 3000), 30),
+    ]
+
+    # the schemes of TestClassCount
+    @pytest.mark.parametrize(
+        "scheme",
+        [torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2")],
+        ids=["T1", "T1-without-xi1-xi2"],
+    )
+    def test_matches_per_height_count(self, scheme):
+        for heights in self.GRIDS:
+            expected = {B: counting.count_torsor_fast(B, scheme=scheme).count for B in set(heights)}
+            for threads in (1, 2):
+                reports = counting.count_torsor_grid(heights, threads=threads, scheme=scheme)
+                assert [r.B for r in reports] == heights
+                assert [r.count for r in reports] == [expected[B] for B in heights], threads
+
+    def test_matches_class_walk_at_every_height(self):
+        grid = counting.count_torsor_grid(range(2001))
+        assert [r.count for r in grid] == counting.counts_upto(2000)
+
+    def test_reports_share_one_pass(self):
+        reports = counting.count_torsor_grid([5, 3, 5], threads=2)
+        assert [(r.B, r.count, r.method, r.parts) for r in reports] == [
+            (5, 27, "fast", 2), (3, 13, "fast", 2), (5, 27, "fast", 2),
+        ]
+        assert len({r.elapsed_s for r in reports}) == 1
+        assert counting.count_torsor_grid([]) == []
+
+
+class TestNegativeHeight:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: counting.counts_upto(-3),
+            lambda: list(counting.enumerate_points(-3)),
+            lambda: list(counting.enumerate_torsor_points(-3)),
+            lambda: counting.count_torsor(-3),
+            lambda: counting.count_torsor_fast(-3),
+            lambda: counting.count_torsor_grid([5, -3, 1]),
+            lambda: counting.count_torsor_grid([-3], threads=2),
+            lambda: surface.brute_counts_upto(-3),
+        ],
+        ids=[
+            "counts_upto", "enumerate_points", "enumerate_torsor_points", "count_torsor",
+            "count_torsor_fast", "count_torsor_grid", "count_torsor_grid-2", "brute_counts_upto",
+        ],
+    )
+    def test_one_message(self, call):
+        with pytest.raises(ValueError, match="^height bound must be non-negative$"):
+            call()
 
 
 class TestPartitioning:
