@@ -178,8 +178,7 @@ def _tau2_window(bfl, A, xi2, t2max):
 
     |tauL| <= B, i.e. |tau2^2*xi2 + A| <= bfl, and the x0 bound
     |tau2| <= t2max hold iff lo <= |tau2| <= hi.  lo > hi when no tau2
-    qualifies, and hi = -1 when A > bfl.  ``_tau1_visits`` computes the
-    same window inline at the top height.
+    qualifies, and hi = -1 when A > bfl.
     """
     hi_num = bfl - A
     if hi_num < 0:
@@ -197,7 +196,6 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
     tau2 = r (mod fl) with r in roots, the square roots of -A / xi2 modulo fl.
     """
     gcd = math.gcd
-    isqrt = math.isqrt
     bfl = B * fl
     fl_factors = factorize(fl) if fl > 1 else []
     inv2 = pow(xi2, -1, fl)
@@ -207,16 +205,11 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
             if gcd(t1, c1) != 1:
                 continue
             A = t1 * t1 * t1 * f1
-            # the window of _tau2_window(bfl, A, xi2, t2max), inline: this
-            # loop runs for every tau1, and a call costs about 3% of a count
-            hi_num = bfl - A
-            if hi_num < 0:
-                break  # stays negative for all larger t1
-            lo_num = -bfl - A
-            lo = isqrt(-((-lo_num) // xi2) - 1) + 1 if lo_num > 0 else 0
+            lo, hi = _tau2_window(bfl, A, xi2, t2max)
+            if hi < 0:
+                break  # A > B*fl, and stays so for all larger t1
             if lo > t2max:
                 break  # window above the x0 bound for good (monotone in |t1|)
-            hi = min(t2max, isqrt(hi_num // xi2))
             if lo > hi:
                 continue
             target = (-A * inv2) % fl
@@ -305,7 +298,7 @@ def _count_between(terms, a, b):
     return n
 
 
-def _window_runs(Bs, jx, x2, x3, m0, fl, xi2, A, lo, hi):
+def _window_runs(Bs, jx, x3, m0, fl, xi2, A, lo, hi):
     """The runs of heights of Bs with the same tau2 window, for one visit.
 
     (lo, hi) is the visit's window at the top height, Bs[jx:] the heights
@@ -321,22 +314,15 @@ def _window_runs(Bs, jx, x2, x3, m0, fl, xi2, A, lo, hi):
     else:
         ivs = ((-hi, -lo, []), (lo, hi, []))
     starts = []
-    j = len(Bs) - 1  # the window (lo, hi) holds at Bs[j:] down to the run's start
+    j = len(Bs) - 1  # the lowest height seen so far; (lo, hi) is its window
     while j > jx and Bs[j - 1] >= x3:
-        lo_j, hi_j = _tau2_window(Bs[j - 1] * fl, A, xi2, Bs[j - 1] // m0)
+        j -= 1
+        lo_j, hi_j = _tau2_window(Bs[j] * fl, A, xi2, Bs[j] // m0)
         if (lo_j, hi_j) == (lo, hi):
-            # the run goes on down to the least Bj with x2, x3 <= Bj and
-            # Bj // m0 >= hi, (Bj*fl - A) // xi2 >= hi^2 and
-            # lo^2*xi2 + A >= -Bj*fl, which give this window
-            least = max(
-                hi * m0, -(-(hi * hi * xi2 + A) // fl), -((A + lo * lo * xi2) // fl), x2, x3
-            )
-            j = bisect_left(Bs, least, 0, j - 1)
             continue
-        starts.append(j)
+        starts.append(j + 1)
         if lo_j > hi_j:
             return ivs, starts
-        j -= 1
         lo, hi = lo_j, hi_j
         d = len(starts)
         if lo == 0:
@@ -370,8 +356,8 @@ def _grid_class_counts(Bs, scheme, xis=None):
     counts at B_j when x2 <= B_j and m3*|tau1| <= B_j, and its window at B_j
     lies inside the window at every larger height.  So the terms of each
     class are built once, on the top window, and evaluated on the smaller
-    ones.  ``_window_runs`` finds the runs of heights with the same window
-    from the bounds that give it, so a dense grid costs its distinct windows.
+    ones.  ``_window_runs`` steps down the heights from the top and starts a
+    run where the window changes.
     """
     top = len(Bs) - 1
     B = Bs[top]
@@ -408,7 +394,7 @@ def _grid_class_counts(Bs, scheme, xis=None):
                 ivs = ((-hi, hi, ()),) if lo == 0 else ((-hi, -lo, ()), (lo, hi, ()))
                 starts = (top,)
             else:
-                ivs, starts = _window_runs(Bs, jx, x2, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
+                ivs, starts = _window_runs(Bs, jx, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
             ns = [0] * len(starts)
             tau2_bad = []
             for p, in_c2, in_cl, m, fl_inv in free:
@@ -445,7 +431,7 @@ def _grid_class_counts(Bs, scheme, xis=None):
                                 for d, a_lo, a_hi in inner:
                                     k_lo, k_hi = -((r - a_lo) // fl), (a_hi - r) // fl
                                     ns[d] += _count_between(terms, k_lo, k_hi)
-                            else:
+                            else:  # every k counts; saves two calls for most classes
                                 ns[0] += k_hi - k_lo + 1
                                 for d, a_lo, a_hi in inner:
                                     ns[d] += (a_hi - r) // fl + (r - a_lo) // fl + 1
@@ -495,6 +481,7 @@ def _sharded(worker, job, threads):
 
 
 def _count(B, fast, threads, scheme):
+    _height(B)  # raise before any worker starts
     partial, shards = _sharded(
         _count_part, lambda parts, part: (B, fast, parts, part, scheme), threads
     )

@@ -112,13 +112,14 @@ class TestNegativeHeight:
             lambda: list(counting.enumerate_torsor_points(-3)),
             lambda: counting.count_torsor(-3),
             lambda: counting.count_torsor_fast(-3),
+            lambda: counting.count_torsor_fast(-3, threads=2),
             lambda: counting.count_torsor_grid([5, -3, 1]),
             lambda: counting.count_torsor_grid([-3], threads=2),
             lambda: surface.brute_counts_upto(-3),
         ],
         ids=[
             "counts_upto", "enumerate_points", "enumerate_torsor_points", "count_torsor",
-            "count_torsor_fast", "count_torsor_grid", "count_torsor_grid-2", "brute_counts_upto",
+            "count_torsor_fast", "count_torsor_fast-2", "count_torsor_grid", "count_torsor_grid-2", "brute_counts_upto",
         ],
     )
     def test_one_message(self, call):
