@@ -23,7 +23,10 @@ serves a fourth use:
   tau2 interval without visiting its points: writing tau2 = r + fl*k, the k
   with p | tau2 or p | tauL are a few residues mod each prime p of the
   partner products, and inclusion-exclusion over their CRT classes counts
-  the k that avoid them all.
+  the k that avoid them all.  tau2 enters only through tau2^2 and
+  gcd(tau2, c2), and the roots r are closed under negation, so the count
+  takes tau2 >= 0 only and doubles it, less tau2 = 0 once.  The class walk
+  keeps both signs of tau2, as the count's independent oracle.
 - the grid count (``count_torsor_grid``) is the class count at the largest
   height of a grid, which counts every smaller height on the way: a
   (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
@@ -282,11 +285,6 @@ def _avoiding_terms(lo, hi, bad):
     return n, terms
 
 
-def _count_avoiding(lo, hi, bad):
-    """Number of k in [lo, hi] with k mod p outside S for every (p, S) in bad."""
-    return _avoiding_terms(lo, hi, bad)[0]
-
-
 def _count_between(terms, a, b):
     """Number of k in [a, b] that avoid the bad residues, for terms from
     _avoiding_terms(lo, hi, bad) with lo <= a and b <= hi."""
@@ -302,62 +300,52 @@ def _window_runs(Bs, jx, x3, m0, fl, xi2, A, lo, hi):
     """The runs of heights of Bs with the same tau2 window, for one visit.
 
     (lo, hi) is the visit's window at the top height, Bs[jx:] the heights
-    with x2 <= Bj and x3 = m3*|tau1|.  Returns (ivs, starts): ivs the tau2
-    intervals of the top window, each as (a_lo, a_hi, inner) with inner the
-    (d, a_lo, a_hi) of the smaller windows inside it, d the index of their
-    run; and starts[d] the lowest index into Bs of run d, whose heights go
-    up to starts[d - 1] - 1 (to the top for d = 0).  The windows are nested,
-    and nonempty down to some height.
+    with x2 <= Bj and x3 = m3*|tau1|.  Returns [(start, lo, hi)], from the
+    top down: run d covers the heights Bs[start] up to the start of run
+    d - 1 (to the top for d = 0), and (lo, hi) is their window.  The windows
+    are nested, and nonempty down to the last run's start.
     """
-    if lo == 0:
-        ivs = ((-hi, hi, []),)
-    else:
-        ivs = ((-hi, -lo, []), (lo, hi, []))
-    starts = []
+    runs = []
     j = len(Bs) - 1  # the lowest height seen so far; (lo, hi) is its window
     while j > jx and Bs[j - 1] >= x3:
+        lo_j, hi_j = _tau2_window(Bs[j - 1] * fl, A, xi2, Bs[j - 1] // m0)
+        if (lo_j, hi_j) != (lo, hi):
+            runs.append((j, lo, hi))
+            if lo_j > hi_j:
+                return runs
+            lo, hi = lo_j, hi_j
         j -= 1
-        lo_j, hi_j = _tau2_window(Bs[j] * fl, A, xi2, Bs[j] // m0)
-        if (lo_j, hi_j) == (lo, hi):
-            continue
-        starts.append(j + 1)
-        if lo_j > hi_j:
-            return ivs, starts
-        lo, hi = lo_j, hi_j
-        d = len(starts)
-        if lo == 0:
-            ivs[0][2].append((d, -hi, hi))
-        else:
-            ivs[0][2].append((d, -hi, -lo))
-            ivs[-1][2].append((d, lo, hi))
-    starts.append(j)
-    return ivs, starts
+    runs.append((j, lo, hi))
+    return runs
 
 
 def _grid_class_counts(Bs, scheme, xis=None):
-    """Yield (xi, tau1, starts, ns) for each (xi, tau1) visit at B = Bs[-1].
+    """Yield (xi, tau1, runs, ns) for each (xi, tau1) visit at B = Bs[-1].
 
     Bs is a sorted tuple of distinct heights.  The heights where the visit
-    has points fall into runs with the same tau2 window, from the top down:
-    the visit has ns[d] points at every Bs[j] with starts[d] <= j and, for
-    d > 0, j < starts[d - 1]; none below starts[-1].  With one height,
-    ns[0] is the count.
+    has points fall into runs with the same tau2 window (``_window_runs``):
+    the visit has ns[d] points at every height of runs[d], and none below
+    the last run.  With one height, ns[0] is the count.
 
-    Counts each (root r, tau2 interval) class without walking it.  Writing
-    tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
-    n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
-    p | tau2 or p | tauL form a few residues mod p, and inclusion-exclusion
-    (``_avoiding_terms``) counts the k left in the interval.  For p not
-    dividing fl, k -> tau2 is a bijection mod p, and the bad tau2 residues
-    (0, and the roots of tau2^2*xi2 + A) are found once per visit.
-    tau2 = 0 and tauL = 0 fall in every bad set, as gcd(0, c) = c demands.
+    Counts each root class r without walking it, on tau2 >= 0 only.  tau2
+    enters tauL through tau2^2 and the conditions through gcd(tau2, c2), and
+    the roots are closed under negation, so the points with tau2 < 0 mirror
+    those with tau2 > 0: a visit has twice the classes' sum, less tau2 = 0
+    (k = 0 of class 0, its own mirror image) where it is in the window and
+    counts.  Writing tau2 = r + fl*k gives
+    tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with n0 = (r^2*xi2 + A) / fl, so
+    for every prime p of rad(c2*cl) the k with p | tau2 or p | tauL form a
+    few residues mod p, and inclusion-exclusion (``_avoiding_terms``)
+    counts the k left in the window.  For p not dividing fl, k -> tau2 is a
+    bijection mod p, and the bad tau2 residues (0, and the roots of
+    tau2^2*xi2 + A) are found once per visit.  tau2 = 0 and tauL = 0 fall
+    in every bad set, as gcd(0, c) = c demands.
 
     Everything but the tau2 window is shared by the heights: the visit
     counts at B_j when x2 <= B_j and m3*|tau1| <= B_j, and its window at B_j
     lies inside the window at every larger height.  So the terms of each
     class are built once, on the top window, and evaluated on the smaller
-    ones.  ``_window_runs`` steps down the heights from the top and starts a
-    run where the window changes.
+    ones.
     """
     top = len(Bs) - 1
     B = Bs[top]
@@ -391,11 +379,10 @@ def _grid_class_counts(Bs, scheme, xis=None):
         jx = bisect_left(Bs, x2)  # the heights Bs[jx:] have x2 <= Bj
         for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
             if jx == top:  # no smaller height counts this xi tuple
-                ivs = ((-hi, hi, ()),) if lo == 0 else ((-hi, -lo, ()), (lo, hi, ()))
-                starts = (top,)
+                runs = ((top, lo, hi),)
             else:
-                ivs, starts = _window_runs(Bs, jx, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
-            ns = [0] * len(starts)
+                runs = _window_runs(Bs, jx, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
+            ns = [0] * len(runs)
             tau2_bad = []
             for p, in_c2, in_cl, m, fl_inv in free:
                 res = [0] if in_c2 else []
@@ -422,26 +409,21 @@ def _grid_class_counts(Bs, scheme, xis=None):
                                 bad.append((p, (-n0 * pow(b, -1, p) % p,)))
                             elif n0 % p == 0:
                                 break  # p divides every tauL of the class
-                    else:
-                        for a_lo, a_hi, inner in ivs:
-                            k_lo, k_hi = -((r - a_lo) // fl), (a_hi - r) // fl
-                            if bad:
-                                n, terms = _avoiding_terms(k_lo, k_hi, bad)
-                                ns[0] += n
-                                for d, a_lo, a_hi in inner:
-                                    k_lo, k_hi = -((r - a_lo) // fl), (a_hi - r) // fl
-                                    ns[d] += _count_between(terms, k_lo, k_hi)
-                            else:  # every k counts; saves two calls for most classes
-                                ns[0] += k_hi - k_lo + 1
-                                for d, a_lo, a_hi in inner:
-                                    ns[d] += (a_hi - r) // fl + (r - a_lo) // fl + 1
-            yield xi, t1, starts, ns
-
-
-def _class_counts(B, scheme, xis=None):
-    """Yield (xi, tau1, n) for each (xi, tau1) visit, n its number of points."""
-    for xi, t1, _, ns in _grid_class_counts((B,), scheme, xis):
-        yield xi, t1, ns[0]
+                    else:  # doubled: class -r at tau2 <= 0 mirrors class r at tau2 >= 0
+                        k_lo, k_hi = -((r - lo) // fl), (hi - r) // fl
+                        if bad:
+                            n, terms = _avoiding_terms(k_lo, k_hi, bad)
+                            ns[0] += 2 * n
+                            for d, (_, lo_d, hi_d) in enumerate(runs[1:], 1):
+                                ns[d] += 2 * _count_between(terms, -((r - lo_d) // fl), (hi_d - r) // fl)
+                        else:  # every k counts, as in most classes; saves the calls
+                            ns[0] += 2 * (k_hi - k_lo + 1)
+                            for d, (_, lo_d, hi_d) in enumerate(runs[1:], 1):
+                                ns[d] += 2 * ((hi_d - r) // fl + (r - lo_d) // fl + 1)
+                        if r == 0 and all(0 not in residues for _, residues in bad):
+                            for d, (_, lo_d, _) in enumerate(runs):  # tau2 = 0 is its own mirror
+                                ns[d] -= lo_d == 0
+            yield xi, t1, runs, ns
 
 
 def _count_part(args):
@@ -458,9 +440,9 @@ def _grid_part(args):
     Bs, parts, part, scheme = args
     xis = islice(_xi_tuples(Bs[-1], scheme), part, None, parts)
     steps = [0] * (len(Bs) + 1)  # steps[j] = count at Bs[j] - count at Bs[j - 1]
-    for _, _, starts, ns in _grid_class_counts(Bs, scheme, xis):
+    for _, _, runs, ns in _grid_class_counts(Bs, scheme, xis):
         end = len(Bs)
-        for j, n in zip(starts, ns):
+        for (j, _, _), n in zip(runs, ns):
             steps[j] += n
             steps[end] -= n
             end = j
@@ -496,7 +478,7 @@ def count_torsor(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME
 
 
 def count_torsor_fast(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
-    """Exact N(B) stepping tau2 through admissible congruence classes."""
+    """Exact N(B) counting each admissible tau2 class without visiting its points."""
     t0 = time.perf_counter()
     n, shards = _count(B, True, threads, scheme)
     return CountReport(B, n, "fast", time.perf_counter() - t0, shards)

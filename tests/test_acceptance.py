@@ -280,3 +280,6 @@ def test_criterion_10_asymptotic_diagnostic():
         f"N/(B P(log B)) is {top_worst:.2%} from 1 for B >= 1e5 "
         f"(bound 2%): {top}"
     )
+    # the grid counts 1e6 anyway: pin its exact value, far above the other
+    # exact checks
+    assert samples[-1] == (10**6, 103_591_243)

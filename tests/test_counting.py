@@ -51,9 +51,9 @@ class TestClassCount:
                 (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
             )
             counted = {}
-            for xi, t1, n in counting._class_counts(B, scheme):
+            for xi, t1, _, ns in counting._grid_class_counts((B,), scheme):
                 assert (xi, t1) not in counted
-                counted[(xi, t1)] = n
+                counted[(xi, t1)] = ns[0]
             assert {k: n for k, n in counted.items() if n} == dict(walked), B
 
     def test_count_avoiding_matches_scan(self):
@@ -65,7 +65,7 @@ class TestClassCount:
                     for k in range(lo, hi + 1)
                     if all(k % p not in residues for p, residues in bad)
                 )
-                assert counting._count_avoiding(lo, hi, bad) == scan
+                assert counting._avoiding_terms(lo, hi, bad)[0] == scan
 
 
 class TestGrid:
