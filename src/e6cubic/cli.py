@@ -295,15 +295,7 @@ def _cmd_fit(args):
         report = fit_polylog(samples, c_ref)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    payload = {
-        "samples": [[b, n] for b, n in report.samples],
-        "coefficients": report.coefficients,
-        "leading": report.leading,
-        "c_reference": report.c_reference,
-        "ratio": report.ratio,
-        "residual_norm": report.residual_norm,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
     plot_path = args.plot_csv or (args.out and args.out + ".plot.csv")
     if plot_path:
         rows = ["B,count,model\n"]

@@ -53,7 +53,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
-from .surface import CountReport, RationalPoint, _cumulative_counts
+from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
     FL_EXPONENTS,
@@ -113,13 +113,6 @@ def _scheme_tables(scheme):
         names = scheme.coprime_partners(tau)
         tau_partners.append(tuple(int(n in names) for n in XI_NAMES))
     return sf, earlier, tau_partners
-
-
-def _height(B):
-    """B, checked to be a height bound."""
-    if B < 0:
-        raise ValueError("height bound must be non-negative")
-    return B
 
 
 def _xi_tuples(B, scheme):
@@ -349,27 +342,13 @@ def _grid_class_counts(Bs, scheme, xis=None):
     """
     top = len(Bs) - 1
     B = Bs[top]
-    _, _, (_, e2, el) = _scheme_tables(scheme)
-    prime_cache = {}
-
-    def primes_of(v):
-        ps = prime_cache.get(v)
-        if ps is None:
-            ps = prime_cache[v] = tuple(p for p, _ in factorize(v)) if v > 1 else ()
-        return ps
-
-    for xi, x2, m0, m3, fl, f1, c1, _, _, t1max, t2max in _frames(B, scheme, xis):
+    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
-        flags = {}  # p -> (p | c2, p | cl)
-        for i, v in enumerate(xi):
-            if e2[i] or el[i]:
-                for p in primes_of(v):
-                    in_c2, in_cl = flags.get(p, (False, False))
-                    flags[p] = (in_c2 or e2[i] == 1, in_cl or el[i] == 1)
         # free: p does not divide fl, and k -> tau2 is onto mod p;
         # tied: p | fl, so p | tau2 iff p | r, and tauL = n0 + 2*r*xi2*k mod p
         free, tied = [], []
-        for p, (in_c2, in_cl) in flags.items():
+        for p, _ in factorize(c2 * cl):
+            in_c2, in_cl = c2 % p == 0, cl % p == 0
             if fl % p:
                 # m = -1/xi2 mod p, so p | tauL iff tau2^2 = A*m; None if p | xi2
                 m = -pow(xi2, -1, p) % p if xi2 % p else None

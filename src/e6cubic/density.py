@@ -391,19 +391,16 @@ def local_factor_closed(p: int, s: float) -> float:
 
 
 def _local_factor(p, s):
-    # F_p(s) = sum over e of vartheta(p^e) * p^(-sum_i e_i (lambda_i s + 1));
-    # p and s broadcast as numpy arrays, and s may be complex
-    t1, t2, t3, tl, t4, t5, t6 = (p ** (lam * s + 1) for lam in LAMBDA)
+    # F_p(s) = sum over e of vartheta(p^e) * prod_i x_i^e_i with
+    # x_i = p^-(1 + lambda_i s), summed in closed form; p and s broadcast as
+    # numpy arrays, and s may be complex.  The x6 term goes first, so that no
+    # partial sum is held beside its temporaries: one array fewer at the peak
+    x1, x2, x3, xl, x4, x5, x6 = (p ** -(lam * s + 1) for lam in LAMBDA)
     pm = 1.0 - 1.0 / p
-    bracket = (
-        t1 / (t1 - 1)
-        + t1 * t6 / (t3 * (t1 - 1))
-        + t6 / (pm * t2)
-        + 1.0 / (tl - 1)
-        + tl * t6 / (t4 * (tl - 1))
-        + tl * t6 / (t5 * (tl - 1))
+    return (
+        pm / (1 - x6) * (x2 + pm * (x3 + x6) / (1 - x1) + pm * (x4 + x5 + xl * x6) / (1 - xl))
+        + 1.0 + pm * (x1 / (1 - x1) + xl / (1 - xl))
     )
-    return 1.0 + pm * pm / (t6 - 1) * bracket + pm / (t1 - 1) + pm / (tl - 1)
 
 
 def local_factor_sum(p: int, s: float, cutoff: int = 40) -> float:

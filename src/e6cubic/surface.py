@@ -115,6 +115,13 @@ def _cube_divisor_step(n: int) -> int:
     return step
 
 
+def _height(B):
+    """B, checked to be a height bound."""
+    if B < 0:
+        raise ValueError("height bound must be non-negative")
+    return B
+
+
 def brute_points(B: int) -> Iterator[RationalPoint]:
     """All points of the surface off the line with height <= B, each once.
 
@@ -124,9 +131,7 @@ def brute_points(B: int) -> Iterator[RationalPoint]:
     x2 = 0 lie on the line (the cubic forces x3 = 0 there), so starting at
     x2 = 1 both excludes the line and picks one representative per point.
     """
-    if B < 0:
-        raise ValueError("height bound must be non-negative")
-    for x2 in range(1, B + 1):
+    for x2 in range(1, _height(B) + 1):
         x2sq = x2 * x2
         step = _cube_divisor_step(x2)
         for x3 in range(-(B // step) * step, B + 1, step):

@@ -10,9 +10,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import arith, counting, surface, torsor
 
 __all__ = ["PropertyResult", "run_suite"]
+
+# the eta bound is checked over the odd moduli up to this one
+_ETA_QMAX = 2001
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,6 @@ def _congruence_checks(samples, seed):
 
 def _eta_bound_checks(qmax):
     """eta(a; q) <= 2^omega(q) over odd q <= qmax, gcd(a, q) = 1."""
-    import numpy as np
-
     checks = failures = 0
     notes = []
     for q in range(1, qmax + 1, 2):
@@ -149,7 +152,6 @@ def run_suite(
     seed: int = 0,
     congruence_samples: int = 10_000,
     grid: int = 12,
-    eta_qmax: int = 2001,
 ) -> list[PropertyResult]:
     """Run all verification properties; every failure count should be zero."""
     out = []
@@ -159,7 +161,7 @@ def run_suite(
     out.append(PropertyResult("case_analysis_grid", c, f, d))
     c, f, d = _congruence_checks(congruence_samples, seed)
     out.append(PropertyResult("congruence_identities", c, f, d))
-    c, f, d = _eta_bound_checks(eta_qmax)
+    c, f, d = _eta_bound_checks(_ETA_QMAX)
     out.append(PropertyResult("eta_bound_odd_moduli", c, f, d))
     return out
 

@@ -177,11 +177,8 @@ class TestFit:
         # counts large enough that integer rounding cannot disturb the fit
         c = 1.0
         csv = tmp_path / "counts.csv"
-        rows = ["B,count,method,elapsed_s"]
-        rows += [
-            f"{b},{int(round(n))},fast,0.0"
-            for b, n in self.synthetic_samples(c, n=18)
-        ]
+        samples = [[b, int(round(n))] for b, n in self.synthetic_samples(c, n=18)]
+        rows = ["B,count,method,elapsed_s"] + [f"{b},{n},fast,0.0" for b, n in samples]
         csv.write_text("\n".join(rows) + "\n")
         out_json = tmp_path / "fit.json"
         plot_csv = tmp_path / "plot.csv"
@@ -191,6 +188,10 @@ class TestFit:
         )
         assert code == 0
         payload = json.loads(out_json.read_text())
+        assert list(payload) == [
+            "samples", "coefficients", "leading", "c_reference", "ratio", "residual_norm",
+        ]
+        assert payload["samples"] == samples  # [B, count] pairs, B ascending
         assert abs(payload["ratio"] - 1) < 1e-3  # integer rounding noise
         plot_lines = plot_csv.read_text().strip().splitlines()
         assert plot_lines[0] == "B,count,model"

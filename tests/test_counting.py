@@ -40,10 +40,16 @@ class TestOracleEquivalence:
 
 
 class TestClassCount:
+    # in T1 every prime of fl = xiL^3*xi4^2*xi5 divides c2; without the
+    # tau2-xi4 pair a prime of xi4 alone divides fl but not c2
     @pytest.mark.parametrize(
         "scheme",
-        [torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2")],
-        ids=["T1", "T1-without-xi1-xi2"],
+        [
+            torsor.T1_SCHEME,
+            torsor.T1_SCHEME.without_pair("xi1", "xi2"),
+            torsor.T1_SCHEME.without_pair("tau2", "xi4"),
+        ],
+        ids=["T1", "T1-without-xi1-xi2", "T1-without-tau2-xi4"],
     )
     def test_matches_class_walk_per_visit(self, scheme):
         for B in (1, 37, 100, 500, 2000, 10**4):
@@ -76,7 +82,7 @@ class TestGrid:
         random.Random(3).sample(range(2, 3000), 30),
     ]
 
-    # the schemes of TestClassCount
+    # the first two schemes of TestClassCount
     @pytest.mark.parametrize(
         "scheme",
         [torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2")],
@@ -204,6 +210,17 @@ class TestSchemeInjection:
         assert (
             counting.count_torsor_fast(100, scheme=inert).count
             == counting.count_torsor_fast(100).count
+        )
+
+    def test_equation_makes_tau2_xi4_coprimality_redundant(self):
+        # a shared prime of tau2 and xi4 would divide tau1^3*xi1^2*xi3
+        # through the equation, and T1 makes xi4 coprime to all three; the
+        # class count then meets a prime of fl that tau2 need not avoid
+        inert = torsor.T1_SCHEME.without_pair("tau2", "xi4")
+        assert (
+            counting.count_torsor_fast(100, scheme=inert).count
+            == counting.count_torsor_fast(100).count
+            == 1477
         )
 
     def test_tau_tau_pairs_unsupported(self):
