@@ -387,15 +387,23 @@ def local_factor_closed(p: int, s: float) -> float:
         raise ValueError("the local factor series diverges for s <= -1/6")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _local_factor(p, s)
+    return float(_local_factor(p, _powers(float(p), s)))
 
 
-def _local_factor(p, s):
-    # F_p(s) = sum over e of vartheta(p^e) * prod_i x_i^e_i with
-    # x_i = p^-(1 + lambda_i s), summed in closed form; p and s broadcast as
-    # numpy arrays, and s may be complex.  The x6 term goes first, so that no
+def _powers(p, s):
+    # the seven x_i = p^-(1 + lambda_i s) = z^lambda_i / p from one exponential
+    # z = p^-s; float p and s broadcast as numpy arrays, and s may be complex
+    z = [1.0, np.exp(-s * np.log(p))]
+    for _ in range(max(LAMBDA) - 1):
+        z.append(z[-1] * z[1])
+    return [z[lam] / p for lam in LAMBDA]
+
+
+def _local_factor(p, x):
+    # F_p(s) = sum over e of vartheta(p^e) * prod_i x_i^e_i, summed in closed
+    # form from the x_i of _powers.  The x6 term goes first, so that no
     # partial sum is held beside its temporaries: one array fewer at the peak
-    x1, x2, x3, xl, x4, x5, x6 = (p ** -(lam * s + 1) for lam in LAMBDA)
+    x1, x2, x3, xl, x4, x5, x6 = x
     pm = 1.0 - 1.0 / p
     return (
         pm / (1 - x6) * (x2 + pm * (x3 + x6) / (1 - x1) + pm * (x4 + x5 + xl * x6) / (1 - xl))
@@ -469,9 +477,11 @@ def peyre_constant(P: int = 10**5, quad_tol: float = 1e-9) -> PeyreConstant:
 # --- the main term ------------------------------------------------------------
 
 # Cauchy circle for the Taylor coefficients of the Euler product G; the full
-# product converges for |w| < 1/12, and the circle stays well inside
+# product converges for |w| < 1/12, and the circle stays well inside.  The
+# node count is even, so nodes 0..m/2 are the closed upper half circle
 _CAUCHY_RADIUS = 0.05
 _CAUCHY_NODES = 64
+assert _CAUCHY_NODES % 2 == 0
 
 
 def _series_mul(a, b):
@@ -499,19 +509,25 @@ def _archimedean_moments(order):
 
 def _euler_taylor(P, order):
     """Taylor coefficients of G(w) = prod_{p <= P} F_p(w) prod_i
-    (1 - p^(-1 - lambda_i w)) up to w^order, by a Cauchy integral."""
+    (1 - p^(-1 - lambda_i w)) up to w^order, by a Cauchy integral.
+
+    G has real coefficients, so G(conj w) = conj G(w), and the nodes on the
+    upper half circle determine the integral.  The truncation at P has no
+    error bound yet: the w^n coefficient carries sum_{p > P} (log p)^n / p^2.
+    """
     m, r = _CAUCHY_NODES, _CAUCHY_RADIUS
-    w = r * np.exp(2j * np.pi * np.arange(m) / m)
-    values = np.ones(m, dtype=complex)
+    w = r * np.exp(2j * np.pi * np.arange(m // 2 + 1) / m)
+    values = np.ones(m // 2 + 1, dtype=complex)
     primes = _primes_upto(P).astype(float)
     for start in range(0, len(primes), 4096):
         p = primes[start : start + 4096, None]
-        f = _local_factor(p, w)
-        for lam in LAMBDA:
-            f = f * (1.0 - p ** (-1.0 - lam * w))
+        x = _powers(p, w)
+        f = _local_factor(p, x)
+        for xi in x:
+            f *= 1.0 - xi
         values *= f.prod(axis=0)
-    coeffs = np.fft.fft(values) / m
-    return [float(coeffs[j].real) / r**j for j in range(order + 1)]
+    coeffs = np.fft.hfft(values, m) / m
+    return [float(coeffs[j]) / r**j for j in range(order + 1)]
 
 
 def _zeta_taylor(order):
@@ -543,7 +559,8 @@ def main_term_coefficients(P: int = 10**5) -> tuple:
 
     The leading coefficient is K(0) G(0) / (6! prod lambda_i), that is
     omega_inf * omega_0 * alpha = c.  The Euler product is truncated at the
-    primes p <= P, as in omega0(P).
+    primes p <= P, as in omega0(P).  That truncation has no error bound yet:
+    the w^n coefficient of G carries sum_{p > P} (log p)^n / p^2.
     """
     if P < 10**3:
         raise ValueError("truncation prime must be at least 1000")

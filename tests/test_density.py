@@ -213,6 +213,46 @@ class TestLocalFactor:
     def test_factor_tends_to_one(self):
         assert abs(density.local_factor_closed(99991, 0.5) - 1.0) < 1e-4
 
+    def test_closed_is_builtin_float(self):
+        for p, s in ((2, 0.0), (7, 0.25), (99991, 1.0), (2**89 - 1, 0.5)):
+            assert type(density.local_factor_closed(p, s)) is float
+
+
+class TestEulerTaylor:
+    @staticmethod
+    def nodes():
+        m = density._CAUCHY_NODES
+        return density._CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
+
+    def test_powers_match_direct_powers(self):
+        primes = arith._primes_upto(1_005_000)
+        p = np.concatenate([primes[:200], primes[200::499], primes[-1:]])
+        p = p.astype(float)[:, None]
+        w = self.nodes()
+        for lam, x in zip(density.LAMBDA, density._powers(p, w)):
+            direct = p ** -(1.0 + lam * w)
+            assert np.max(np.abs(x / direct - 1.0)) <= 1e-13, lam
+
+    def test_half_circle_matches_full_circle(self):
+        # oracle: every node of the circle, the x_i as direct powers, and the
+        # complex FFT
+        P, order, m = 10**4, 6, density._CAUCHY_NODES
+        w = self.nodes()
+        p = arith._primes_upto(P).astype(float)[:, None]
+        x = [p ** -(1.0 + lam * w) for lam in density.LAMBDA]
+        f = density._local_factor(p, x)
+        for xi in x:
+            f = f * (1.0 - xi)
+        full = np.fft.fft(f.prod(axis=0)).real / m
+        expected = [full[j] / density._CAUCHY_RADIUS**j for j in range(order + 1)]
+        got = density._euler_taylor(P, order)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_constant_coefficient_is_omega0(self):
+        # G(0) = prod_{p <= P} F_p(0) (1 - 1/p)^7 = omega0(P)
+        g0 = density._euler_taylor(10**4, 6)[0]
+        assert g0 == pytest.approx(density.omega0(10**4).value, rel=1e-12)
+
 
 class TestAssembledConstant:
     def test_fields(self):
