@@ -206,8 +206,8 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
                 break  # A > B*fl, and stays so for all larger t1
             if lo > t2max:
                 break  # window above the x0 bound for good (monotone in |t1|)
-            if lo > hi:
-                continue
+            # so lo <= hi: (lo-1)^2*xi2 < -B*fl - A and xi2 <= m0 give
+            # lo^2*xi2 <= B*fl - A, as lo <= t2max = B // m0
             target = (-A * inv2) % fl
             roots = root_cache.get(target)
             if roots is None:
@@ -371,9 +371,7 @@ def _grid_class_counts(Bs, scheme, xis=None):
                             break  # p divides every tauL
                     else:
                         res += [s for s in _prime_power_roots(A * m, p, 1) if s not in res]
-                if len(res) == p:
-                    break  # every tau2 is bad mod p: no points at this visit
-                if res:
+                if res:  # all p residues bad leaves every class with no k
                     tau2_bad.append((p, fl_inv, res))
             else:
                 for r in roots:

@@ -59,28 +59,26 @@ ALPHA = Fraction(1, 6220800)
 BETA = Fraction(1)
 
 
-def quad(func, a, b, points=None, **kwargs):
-    """scipy.integrate.quad with its warnings silenced and break points
-    cleaned.
+def quad(func, a, b, points=(), **kwargs):
+    """scipy.integrate.quad, one call per piece of [a, b], with its warnings
+    silenced; returns the summed value and the summed error estimate.
 
-    Convergence is judged by the returned error estimates (callers compare
-    independent evaluations), not by per-panel roundoff warnings, which at
-    the tolerances used here fire routinely and harmlessly.  Break points
-    that collapse onto the interval ends or onto each other would create
-    degenerate subintervals, so they are dropped.
+    Each break point strictly inside (a, b) ends a piece, however close it
+    lies to an end or to another break point; points on or outside [a, b]
+    are ignored.  Convergence is judged by the returned error estimates
+    (callers compare independent evaluations), not by per-panel roundoff
+    warnings, which at the tolerances used here, and on pieces as narrow as
+    1e-17, fire routinely and harmlessly.
     """
-    if points is not None:
-        span = abs(b - a)
-        keep = []
-        for p in sorted(points):
-            if min(p - a, b - p) > 1e-9 * span and (
-                not keep or p - keep[-1] > 1e-9 * span
-            ):
-                keep.append(p)
-        points = keep or None
+    ends = [a, *sorted({p for p in points if a < p < b}), b]
+    value = error = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(func, a, b, points=points, **kwargs)
+        for lo, hi in zip(ends, ends[1:]):
+            v, e = _scipy_quad(func, lo, hi, **kwargs)
+            value += v
+            error += e
+    return value, error
 
 # |log omega_p| <= _OMEGA_LOG_DECAY / p^2 for every prime (the expansion of
 # log omega_p is -27/p^2 + 105/p^3 - ..., and the small primes sit below the
@@ -201,7 +199,9 @@ def g2(v: float, tol: float = 1e-10) -> float:
     The integrand vanishes for u > 1 and, below u = -1, decays so slowly
     that the tail is integrated in the variable r = -1/u.  Kinks of g1
     (the t-window hitting its cap v^-3, or closing) are passed to the
-    integrator as break points.
+    integrator as break points, and each break point ends a piece: below
+    v = 0.06 the cap crossing sits about v^7/3 above the tail's lower end,
+    and the thin capped layer between them is integrated on its own.
     """
     if not 0 < v <= 1:
         raise ValueError("v must lie in (0, 1]")
@@ -209,14 +209,14 @@ def g2(v: float, tol: float = 1e-10) -> float:
     # (g1 = 0) at u = -a2
     a1 = max(0.0, v**-6.0 - 1.0) ** (1.0 / 3.0)
     a2 = (v**-6.0 + 1.0) ** (1.0 / 3.0)
-    pts = [-a1] if a1 < 1.0 else []
     near, _ = quad(
-        g1, -1.0, 1.0, args=(v,), points=pts, limit=200, epsabs=tol, epsrel=tol
+        g1, -1.0, 1.0, args=(v,), points=[-a1], limit=200, epsabs=tol, epsrel=tol
     )
     # tail in rho = sqrt(-1/u): the integrand approaches its moving lower
     # endpoint like 1/sqrt(r), which this substitution flattens
     rho_lo = math.sqrt(max(v**4.0, 1.0 / a2))
-    pts = [a1**-0.5] if a1 > 1.0 else []
+    # the cap crossing in rho; at v = 1 it is u = 0, where rho is infinite
+    pts = [a1**-0.5] if a1 > 0.0 else []
     far, _ = quad(
         lambda rho: g1(-1.0 / (rho * rho), v) * 2.0 / rho**3,
         rho_lo, 1.0, points=pts, limit=200, epsabs=tol, epsrel=tol,
@@ -289,25 +289,19 @@ def _u_section(u, tol):
         return 0.0
     lo_sq = -1.0 - u3
     if lo_sq <= 0.0:
-        hi = math.sqrt(hi_sq)
-        pts = [p for p in (1.0, abs(u) ** 0.75) if 0.0 < p < hi]
         val, _ = quad(
-            _v_measure, 0.0, hi, args=(u,), points=sorted(set(pts)), limit=200,
-            epsabs=tol, epsrel=tol,
+            _v_measure, 0.0, math.sqrt(hi_sq), args=(u,), points=(1.0, abs(u) ** 0.75),
+            limit=200, epsabs=tol, epsrel=tol,
         )
         return 2.0 * val
     # narrow band far below u = -1: the width collapses in floating point,
     # so parametrize the band by its stable conjugate width
     lo = math.sqrt(lo_sq)
     width = 2.0 / (math.sqrt(hi_sq) + lo)
-    pts = [
-        (p - lo) / width
-        for p in (1.0, abs(u) ** 0.75)
-        if 0.0 < (p - lo) / width < 1.0
-    ]
     val, _ = quad(
         lambda s: _v_measure(lo + width * s, u), 0.0, 1.0,
-        points=sorted(set(pts)), limit=200, epsabs=tol, epsrel=tol,
+        points=[(p - lo) / width for p in (1.0, abs(u) ** 0.75)],
+        limit=200, epsabs=tol, epsrel=tol,
     )
     return 2.0 * width * val
 

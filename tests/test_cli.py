@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from e6cubic import cli, counting, surface, verify
+from e6cubic import arith, cli, counting, density, surface, torsor, verify
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +141,37 @@ class TestVerify:
         assert not verify.PropertyResult("empty", checks=0, failures=0).passed
         assert verify.PropertyResult("one", checks=1, failures=0).passed
 
+    # (property, module, name, fault): the fault replaces module.name and
+    # breaks what that property, and no other, checks
+    FAULTS = [
+        ("bijection_round_trips", torsor, "phi_prime", lambda real: lambda p: p),
+        ("case_analysis_grid", torsor, "phi_matching_cases", lambda real: lambda *tup: []),
+        (
+            "congruence_identities", arith, "count_congruence_interval",
+            lambda real: lambda *args: replace(
+                real(*args), exact_count=real(*args).exact_count + 1
+            ),
+        ),
+        ("eta_bound_odd_moduli", arith, "omega_distinct", lambda real: lambda n: 0),
+    ]
+
+    @pytest.mark.parametrize("prop, module, name, fault", FAULTS, ids=[f[0] for f in FAULTS])
+    def test_injected_fault_fails_its_property(self, monkeypatch, prop, module, name, fault):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        results = verify.run_suite(B=40, congruence_samples=300, grid=6)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == [prop]
+        assert failed[0].failures > 0 and failed[0].detail
+
+    def test_cli_reports_a_failing_property(self, capsys, monkeypatch):
+        monkeypatch.setattr(arith, "omega_distinct", lambda n: 0)
+        code, out, _ = run_cli(capsys, "verify", "--B", "40", "--samples", "300", "--grid", "6")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL eta_bound_odd_moduli: 1001 checks, ")
+        assert "(eta bound fails at q=" in fails[0]
+
 
 class TestFit:
     @staticmethod
@@ -196,6 +227,19 @@ class TestFit:
         plot_lines = plot_csv.read_text().strip().splitlines()
         assert plot_lines[0] == "B,count,model"
         assert len(plot_lines) == 19
+
+    def test_cli_fit_counts_the_range_and_computes_c(self, capsys, tmp_path):
+        spec, out_json = "1e2:1e5:geometric:14", tmp_path / "fit.json"
+        code, _, err = run_cli(
+            capsys, "fit", "--B-range", spec, "--threads", "2", "--out", str(out_json)
+        )
+        assert code == 0
+        payload = json.loads(out_json.read_text())
+        grid = counting.count_torsor_grid(cli.parse_b_range(spec))
+        assert payload["samples"] == [[r.B, r.count] for r in grid]
+        counted = [line for line in err.splitlines() if line.startswith("counted B=")]
+        assert [line.split(":")[0] for line in counted] == [f"counted B={r.B}" for r in grid]
+        assert payload["c_reference"] == density.peyre_constant(P=10**5).c
 
     def test_fit_without_inputs_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

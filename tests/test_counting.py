@@ -41,18 +41,26 @@ class TestOracleEquivalence:
 
 class TestClassCount:
     # in T1 every prime of fl = xiL^3*xi4^2*xi5 divides c2; without the
-    # tau2-xi4 pair a prime of xi4 alone divides fl but not c2
+    # tau2-xi4 pair a prime of xi4 alone divides fl but not c2.  Without the
+    # tau1-xiL pair a class can have every tau2 divisible by a prime of fl;
+    # with the tau2-xi6 pair every tau2 residue can be bad at a free prime
     @pytest.mark.parametrize(
-        "scheme",
+        "scheme, top",
         [
-            torsor.T1_SCHEME,
-            torsor.T1_SCHEME.without_pair("xi1", "xi2"),
-            torsor.T1_SCHEME.without_pair("tau2", "xi4"),
+            (torsor.T1_SCHEME, 10**4),
+            (torsor.T1_SCHEME.without_pair("xi1", "xi2"), 10**4),
+            (torsor.T1_SCHEME.without_pair("tau2", "xi4"), 10**4),
+            (torsor.T1_SCHEME.without_pair("tau1", "xiL"), 2000),
+            (torsor.T1_SCHEME.with_pair("tau2", "xi6"), 2000),
+            (torsor.T2_SCHEME, 10**4),
         ],
-        ids=["T1", "T1-without-xi1-xi2", "T1-without-tau2-xi4"],
+        ids=[
+            "T1", "T1-without-xi1-xi2", "T1-without-tau2-xi4", "T1-without-tau1-xiL",
+            "T1-with-tau2-xi6", "T2",
+        ],
     )
-    def test_matches_class_walk_per_visit(self, scheme):
-        for B in (1, 37, 100, 500, 2000, 10**4):
+    def test_matches_class_walk_per_visit(self, scheme, top):
+        for B in (b for b in (1, 37, 100, 500, 2000, 10**4) if b <= top):
             walked = collections.Counter(
                 (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
             )
@@ -61,6 +69,12 @@ class TestClassCount:
                 assert (xi, t1) not in counted
                 counted[(xi, t1)] = ns[0]
             assert {k: n for k, n in counted.items() if n} == dict(walked), B
+
+    def test_t2_count_equals_t1_count(self):
+        # the second scheme is a second witness of every count
+        for B, n in ((100, 1_477), (1000, 27_145), (10**4, 440_199)):
+            assert counting.count_torsor_fast(B, scheme=torsor.T2_SCHEME).count == n
+            assert counting.count_torsor_fast(B).count == n
 
     def test_count_avoiding_matches_scan(self):
         bad = [(2, [1]), (3, [0, 2]), (5, [1, 4]), (7, [3])]
