@@ -227,8 +227,8 @@ class FitReport:
 def fit_polylog(samples, c_reference: float) -> FitReport:
     """Weighted least squares (weights 1/N) for the degree-6 log polynomial.
 
-    Requires at least 14 distinct samples spanning at least three decades.
-    Duplicate B values are dropped with a warning.
+    Requires heights B >= 1 and at least 14 distinct samples spanning at
+    least three decades.  Duplicate B values are dropped with a warning.
 
     The fit recovers the coefficients of exact polynomial data, but on counts
     with B <= 1e6 it cannot determine the leading one: the seven columns are
@@ -238,6 +238,8 @@ def fit_polylog(samples, c_reference: float) -> FitReport:
     """
     seen = {}
     for b, n in samples:
+        if b < 1:
+            raise ValueError(f"heights must be at least 1, got B={b}")
         if b in seen:
             warnings.warn(f"duplicate sample B={b} dropped", stacklevel=2)
             continue
@@ -283,7 +285,7 @@ def _cmd_fit(args):
         samples = _read_counts_csv(args.counts)
     elif args.B_range:
         samples = []
-        for rep in _COUNTERS[args.method](args.B_range, args.threads):
+        for rep in counting.count_torsor_grid(args.B_range, threads=args.threads):
             print(f"counted B={rep.B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
             samples.append((rep.B, rep.count))
     else:
@@ -406,7 +408,6 @@ def build_parser():
         p_fit.add_argument(
             "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
         ),
-        p_fit.add_argument("--method", choices=["torsor", "fast"], default="fast"),
         p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help),
         p_fit.add_argument("--c-ref", dest="c_ref", type=float, default=None),
         p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),

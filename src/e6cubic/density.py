@@ -229,49 +229,47 @@ def g2(v: float, tol: float = 1e-10) -> float:
 _G2_V_KINKS = (2.0 ** (-1.0 / 6.0), ((1.0 + math.sqrt(5.0)) / 2.0) ** (-1.0 / 6.0))
 
 
-def _gauss_panel(f, a, b, nodes):
-    x, w = nodes
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+def _g2_integrals(f, n):
+    """n-point Gauss-Legendre values of the integral of f on each panel of [0, 1].
 
-
-def _g2_panels(f):
-    """Panels (integrand, a, b) whose integrals sum to that of f over [0, 1].
-
-    The panels follow the smooth stretches of g2 between its kinks; the top
-    stretch is substituted as v = 1 - y^3 to remove the cusp of g2 at v = 1.
-    f may return an array, for several integrands sharing their g2 values.
+    The panels follow the smooth stretches of g2 between its kinks.  The
+    bottom one is substituted as v = a*y^6, which flattens a logarithmic
+    singularity of f at 0, and the top two as v = 1 - y^3, which removes the
+    cube-root cusp of g2 at v = 1.  f may return an array, for several
+    integrands sharing their g2 values.
     """
     k1, k2 = _G2_V_KINKS  # 2^(-1/6) < phi^(-1/6)
-    y_top = (1.0 - k2) ** (1.0 / 3.0)
-    g = lambda y: 3.0 * y * y * f(1.0 - y**3)
-    return [
-        (f, 0.0, 0.35), (f, 0.35, 0.65), (f, 0.65, k1), (f, k1, k2),
-        (g, 0.0, 0.5 * y_top), (g, 0.5 * y_top, y_top),
+    a, y_top = 0.35, (1.0 - k2) ** (1.0 / 3.0)
+    bottom = lambda y: 6.0 * a * y**5 * f(a * y**6)
+    top = lambda y: 3.0 * y * y * f(1.0 - y**3)
+    panels = [
+        (bottom, 0.0, 1.0), (f, a, 0.65), (f, 0.65, k1), (f, k1, k2),
+        (top, 0.0, 0.5 * y_top), (top, 0.5 * y_top, y_top),
     ]
+    x, w = np.polynomial.legendre.leggauss(n)
+    out = []
+    for g, lo, hi in panels:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        out.append(half * sum(wi * g(mid + half * xi) for xi, wi in zip(x, w)))
+    return out
 
 
 def omega_inf_g2(tol: float = 1e-9):
     """6 * integral of g2 over [0, 1]; returns (value, error estimate).
 
-    g2 is smooth between its two structural kinks and has a cube-root cusp
-    at v = 1 (the cap crossing scales like (1 - v)^(1/3)), so the integral
-    runs as fixed Gauss-Legendre panels on the smooth stretches, with the
-    top stretch substituted as v = 1 - y^3 to remove the cusp.  Fixed nodes
-    keep the evaluation deterministic; the error estimate embeds a
-    lower-order rule per panel.
+    This is K(0) of the main term's K(w) = 6 * int_0^1 g2(v) v^(6w) dv, on
+    the same panels and nodes as _archimedean_moments.  g2 is smooth between
+    its two structural kinks and has a cube-root cusp at v = 1 (the cap
+    crossing scales like (1 - v)^(1/3)), so the integral runs as fixed
+    32-point Gauss-Legendre panels (_g2_integrals).  Fixed nodes keep the
+    evaluation deterministic; the error estimate is 6 times the summed
+    differences from a 20-point rule on each panel.
     """
     inner = max(tol * 1e-2, 1e-10)
-    panels = _g2_panels(lambda v: g2(v, inner))
-    hi_nodes = np.polynomial.legendre.leggauss(32)
-    lo_nodes = np.polynomial.legendre.leggauss(20)
-    total = err = 0.0
-    for fn, a, b in panels:
-        hi = _gauss_panel(fn, a, b, hi_nodes)
-        lo = _gauss_panel(fn, a, b, lo_nodes)
-        total += hi
-        err += abs(hi - lo)
-    return float(6.0 * total), float(6.0 * err)
+    f = lambda v: g2(v, inner)
+    hi, lo = _g2_integrals(f, 32), _g2_integrals(f, 20)
+    err = sum(abs(h - l) for h, l in zip(hi, lo))
+    return float(6.0 * sum(hi)), float(6.0 * err)
 
 
 def _v_measure(t, u):
@@ -486,18 +484,13 @@ def _series_mul(a, b):
 def _archimedean_moments(order):
     """Taylor coefficients of K(w) = 6 * int_0^1 g2(v) v^(6w) dv up to w^order.
 
-    The coefficient of w^n is 6 * int_0^1 g2(v) (6 log v)^n / n! dv.  The
-    panels are those of omega_inf_g2, except that the first one is
-    substituted as v = a*y^6 to flatten the logarithmic singularity at 0.
+    The coefficient of w^n is 6 * int_0^1 g2(v) (6 log v)^n / n! dv, from the
+    32-point panels of _g2_integrals; the w^0 one equals omega_inf_g2's value
+    bit for bit at its default tolerance.
     """
     n = np.arange(order + 1)
     fact = np.array([math.factorial(k) for k in n], dtype=float)
-    f = lambda v: g2(v) * (6.0 * math.log(v)) ** n / fact
-    panels = _g2_panels(f)
-    _, _, a = panels[0]
-    panels[0] = (lambda y: 6.0 * a * y**5 * f(a * y**6), 0.0, 1.0)
-    nodes = np.polynomial.legendre.leggauss(32)
-    total = sum(_gauss_panel(fn, lo, hi, nodes) for fn, lo, hi in panels)
+    total = sum(_g2_integrals(lambda v: g2(v) * (6.0 * math.log(v)) ** n / fact, 32))
     return [6.0 * float(t) for t in total]
 
 

@@ -197,6 +197,20 @@ class TestFit:
         with pytest.raises(ValueError):
             cli.fit_polylog(samples, 1.0)
 
+    def test_height_below_one_rejected(self):
+        samples = [(0, 1)] + self.synthetic_samples(1.0)
+        with pytest.raises(ValueError, match="B=0"):
+            cli.fit_polylog(samples, 1.0)
+
+    def test_cli_fit_height_below_one_is_usage_error(self, capsys, tmp_path):
+        rows = ["B,count", "0,1"] + [f"{b},{round(n)}" for b, n in self.synthetic_samples(1.0)]
+        csv = tmp_path / "counts.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--counts", str(csv), "--c-ref", "1"])
+        assert exc.value.code == 2
+        assert "heights must be at least 1, got B=0" in capsys.readouterr().err
+
     def test_duplicates_dropped_with_warning(self):
         c = 2.0e-8
         samples = self.synthetic_samples(c) + [self.synthetic_samples(c)[0]]
@@ -332,6 +346,7 @@ USAGE_ERRORS = {
     "fit-missing-counts": ({}, ["fit", "--counts", "{tmp}/missing.csv"]),
     "fit-counts-without-B": ({"c.csv": "count,method\n5,fast\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
     "fit-counts-not-integer": ({"c.csv": "B,count\n5,x\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
+    "fit-method": ({}, ["fit", "--B-range", "100:200:geometric:3", "--method", "fast"]),
     "count-unwritable-out": ({}, ["count", "--B", "5", "--out", "{tmp}/no/such/dir/x.csv"]),
 }
 

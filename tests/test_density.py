@@ -119,9 +119,24 @@ class TestArchimedean:
         a, ea = density.omega_inf_g2()
         b, eb = density.omega_inf_direct()
         # every break point ends a quadrature piece, so the forms agree to
-        # rounding: 7e-15 at the default tolerance
+        # rounding: 2.8e-14 at the default tolerance
         assert abs(a - b) <= 1e-12
         assert ea < 1e-6 and eb < 1e-6
+
+    def test_k0_is_the_g2_form(self):
+        # one panel quadrature serves both: K(0) = omega_inf bit for bit
+        assert density._archimedean_moments(6)[0] == density.omega_inf_g2()[0]
+
+    def test_g2_calls_per_quadrature(self, monkeypatch):
+        # 6 panels: 32 + 20 nodes for omega_inf_g2, 32 for the moments
+        calls = []
+        g2 = density.g2
+        monkeypatch.setattr(density, "g2", lambda v, *tol: calls.append(v) or g2(v, *tol))
+        density.omega_inf_g2()
+        assert len(calls) == 312
+        calls.clear()
+        density._archimedean_moments(6)
+        assert len(calls) == 192
 
     def test_omega_inf_record(self):
         r = density.omega_inf()
