@@ -248,10 +248,17 @@ def _prime_power_roots(a, p, e):
     return sorted(set(out))
 
 
-def _sqrt_mod_factored(a, q, factors):
+def sqrt_mod(a: int, q: int) -> list[int]:
+    """All residues x in [0, q) with x^2 = a (mod q).
+
+    Works for any a (including a shared factor with q) by solving each prime
+    power of q separately and recombining with the Chinese remainder theorem.
+    """
+    if q < 1:
+        raise ValueError("modulus must be positive")
     roots = [0]
     mod = 1
-    for p, e in factors:
+    for p, e in factorize(q):
         pe = p**e
         local = _prime_power_roots(a, p, e)
         if not local:
@@ -264,19 +271,6 @@ def _sqrt_mod_factored(a, q, factors):
         roots = combined
         mod *= pe
     return sorted(roots)
-
-
-def sqrt_mod(a: int, q: int) -> list[int]:
-    """All residues x in [0, q) with x^2 = a (mod q).
-
-    Works for any a (including a shared factor with q) by solving each prime
-    power of q separately and recombining with the Chinese remainder theorem.
-    """
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if q == 1:
-        return [0]
-    return _sqrt_mod_factored(a % q, q, factorize(q))
 
 
 # --- sawtooth and interval congruence counting ----------------------------

@@ -236,23 +236,9 @@ def fit_polylog(samples, c_reference: float) -> FitReport:
     B * P(log B) to integers alone moves the fitted leading coefficient to
     about 269 times c.  density.main_term_coefficients predicts all seven.
     """
-    seen = {}
-    for b, n in samples:
-        if b < 1:
-            raise ValueError(f"heights must be at least 1, got B={b}")
-        if b in seen:
-            warnings.warn(f"duplicate sample B={b} dropped", stacklevel=2)
-            continue
-        seen[b] = n
-    pts = sorted(seen.items())
-    if len(pts) < 14:
-        raise ValueError(f"need at least 14 distinct samples, got {len(pts)}")
+    pts = _fit_points(samples)
     bs = np.array([b for b, _ in pts], dtype=float)
     ns = np.array([n for _, n in pts], dtype=float)
-    if bs.max() / bs.min() < 1_000:
-        raise ValueError("samples must span at least three decades of B")
-    if np.any(ns <= 0):
-        raise ValueError("counts must be positive to fit")
     logb = np.log(bs)
     design = np.vander(logb, 7, increasing=True)
     y = ns / bs
@@ -268,6 +254,26 @@ def fit_polylog(samples, c_reference: float) -> FitReport:
         ratio=leading / float(c_reference),
         residual_norm=residual,
     )
+
+
+def _fit_points(samples):
+    """The distinct samples of ``fit_polylog``, sorted, after its checks."""
+    seen = {}
+    for b, n in samples:
+        if b < 1:
+            raise ValueError(f"heights must be at least 1, got B={b}")
+        if b in seen:
+            warnings.warn(f"duplicate sample B={b} dropped", stacklevel=3)
+            continue
+        seen[b] = n
+    pts = sorted(seen.items())
+    if len(pts) < 14:
+        raise ValueError(f"need at least 14 distinct samples, got {len(pts)}")
+    if pts[-1][0] / pts[0][0] < 1_000:
+        raise ValueError("samples must span at least three decades of B")
+    if any(n <= 0 for _, n in pts):
+        raise ValueError("counts must be positive to fit")
+    return pts
 
 
 def _read_counts_csv(path):
@@ -290,13 +296,14 @@ def _cmd_fit(args):
             samples.append((rep.B, rep.count))
     else:
         raise _UsageError("fit needs --counts or --B-range")
+    try:
+        samples = _fit_points(samples)  # reject them before waiting for c
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     c_ref = args.c_ref
     if c_ref is None:
         c_ref = density.peyre_constant(P=args.trunc_prime, quad_tol=args.quad_tol).c
-    try:
-        report = fit_polylog(samples, c_ref)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = fit_polylog(samples, c_ref)
     _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
     plot_path = args.plot_csv or (args.out and args.out + ".plot.csv")
     if plot_path:

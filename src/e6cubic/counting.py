@@ -15,10 +15,12 @@ serves a fourth use:
   oracle, reached through ``count_torsor`` for the count and through
   ``_solutions(B, scheme, False)`` for the points, with no public knob.
 - the class walk (``enumerate_points``, ``enumerate_torsor_points``,
-  ``counts_upto`` and ``verify``) solves
-  tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo fl = xiL^3 * xi4^2 * xi5 with
-  modular square roots and steps only through the admissible residues,
-  testing the two gcd conditions on each; it is the oracle for the count.
+  ``counts_upto`` and ``verify``) steps only through the admissible
+  residues, the roots of tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo
+  fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
+  the oracle for the count.  The walk and the class count take their
+  (xi, tau1) visits from ``_tau1_visits``, which reads every visit's roots
+  off one sorted table of the squares modulo fl, with no root solve.
 - the class count (``count_torsor_fast``) counts each root class in its
   tau2 interval without visiting its points: writing tau2 = r + fl*k, the k
   with p | tau2 or p | tauL are a few residues mod each prime p of the
@@ -52,7 +54,9 @@ from itertools import accumulate, islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .arith import _prime_power_roots, _sqrt_mod_factored, factorize
+import numpy as np
+
+from .arith import _prime_power_roots, factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
@@ -184,37 +188,88 @@ def _tau2_window(bfl, A, xi2, t2max):
     return lo, min(t2max, math.isqrt(hi_num // xi2))
 
 
+def _icbrt(n):
+    """floor(n^(1/3)) for an integer n >= 0."""
+    r = round(n ** (1 / 3))
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
+def _isqrt_array(n):
+    """floor(sqrt(n)) of each entry of an int64 array n with 0 <= n < 2^62.
+
+    The float root is within 1 of the exact one there, and one exact int64
+    step each way corrects it.
+    """
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
 def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
     """Yield (tau1, A, roots, lo, hi) for the tau1 with a tau2 class to visit.
 
     A = tau1^3 * f1; the tau2 with |tauL| <= B and |tau2| <= tau2_max are
-    those with lo <= |tau2| <= hi, and tauL is integral exactly for
-    tau2 = r (mod fl) with r in roots, the square roots of -A / xi2 modulo fl.
+    those with lo <= |tau2| <= hi (``_tau2_window``), and tauL is integral
+    exactly for tau2 = r (mod fl) with r in roots, the square roots of
+    -A / xi2 modulo fl, ascending.  tau1 runs 0, 1, 2, ... and then
+    -1, -2, ...
+
+    One xi tuple's visits are computed in int64 arrays over tau1.  A visit
+    has hi >= 0, i.e. A <= B*fl, and lo <= t2max, i.e.
+    -A <= B*fl + t2max^2*xi2, so each sign of tau1 ends at an exact cube
+    root, and |A| and the window numerators stay inside int64.  The roots
+    come from one table of the squares modulo fl (``_root_slices``), with
+    the targets -A / xi2 formed from tau1 mod fl, never from tau1^3.
     """
-    gcd = math.gcd
     bfl = B * fl
-    fl_factors = factorize(fl) if fl > 1 else []
-    inv2 = pow(xi2, -1, fl)
-    root_cache = {}
-    for run in (range(0, t1max + 1), range(-1, -t1max - 1, -1)):
-        for t1 in run:
-            if gcd(t1, c1) != 1:
-                continue
-            A = t1 * t1 * t1 * f1
-            lo, hi = _tau2_window(bfl, A, xi2, t2max)
-            if hi < 0:
-                break  # A > B*fl, and stays so for all larger t1
-            if lo > t2max:
-                break  # window above the x0 bound for good (monotone in |t1|)
-            # so lo <= hi: (lo-1)^2*xi2 < -B*fl - A and xi2 <= m0 give
-            # lo^2*xi2 <= B*fl - A, as lo <= t2max = B // m0
-            target = (-A * inv2) % fl
-            roots = root_cache.get(target)
-            if roots is None:
-                roots = _sqrt_mod_factored(target, fl, fl_factors)
-                root_cache[target] = roots
-            if roots:
-                yield t1, A, roots, lo, hi
+    a_max = bfl + t2max * t2max * xi2
+    if a_max >= 1 << 62:  # |A| <= a_max, and B*fl - A, B*fl + A must fit in int64
+        raise OverflowError(f"height B = {B} is too large for the int64 tau1 arrays")
+    pos = min(t1max, _icbrt(bfl // f1))  # hi >= 0
+    neg = min(t1max, _icbrt(a_max // f1))  # lo <= t2max
+    t1 = np.concatenate((np.arange(pos + 1), -np.arange(1, neg + 1)))
+    t1 = t1[np.gcd(t1, c1) == 1]
+    if not t1.size:
+        return
+    A = t1 * t1 * t1 * f1
+    hi = np.minimum(_isqrt_array((bfl - A) // xi2), t2max)
+    c = np.maximum(-((bfl + A) // xi2), 0)  # ceil((-B*fl - A) / xi2), at least 0
+    lo = _isqrt_array(c)
+    lo += lo * lo < c  # ceil(sqrt(c))
+    u = t1 % fl
+    targets = u * u % fl * u % fl * (-f1 * pow(xi2, -1, fl) % fl) % fl
+    roots, first, last = _root_slices(targets, fl)
+    for t, a, i, j, l, h in zip(t1.tolist(), A.tolist(), first, last, lo.tolist(), hi.tolist()):
+        if i < j:
+            yield t, a, roots[i:j], l, h
+
+
+def _root_slices(targets, fl):
+    """(roots, first, last): roots[first[i]:last[i]] are the square roots of
+    targets[i] modulo fl, ascending, for an int64 array of targets in [0, fl).
+
+    Squares every r in [0, fl) and keeps the r whose square is a target,
+    sorted stably by their square, so that each target's roots are one slice.
+    """
+    wanted = np.zeros(fl, dtype=bool)
+    wanted[targets] = True
+    squares = np.arange(fl, dtype=np.int64)
+    squares *= squares
+    squares %= fl
+    r = np.flatnonzero(wanted[squares])
+    r_sq = squares[r]
+    order = np.argsort(r_sq, kind="stable")
+    r_sq = r_sq[order]
+    return (
+        r[order].tolist(),
+        np.searchsorted(r_sq, targets, "left").tolist(),
+        np.searchsorted(r_sq, targets, "right").tolist(),
+    )
 
 
 def _solutions(B, scheme, fast, xis=None):

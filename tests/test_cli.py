@@ -211,6 +211,18 @@ class TestFit:
         assert exc.value.code == 2
         assert "heights must be at least 1, got B=0" in capsys.readouterr().err
 
+    def test_cli_fit_rejects_samples_before_computing_c(self, capsys, tmp_path, monkeypatch):
+        def no_constant(**kwargs):
+            raise AssertionError("peyre_constant called for rejected samples")
+
+        monkeypatch.setattr(density, "peyre_constant", no_constant)
+        csv = tmp_path / "counts.csv"
+        csv.write_text("B,count\n1000,27145\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--counts", str(csv)])
+        assert exc.value.code == 2
+        assert "need at least 14 distinct samples, got 1" in capsys.readouterr().err
+
     def test_duplicates_dropped_with_warning(self):
         c = 2.0e-8
         samples = self.synthetic_samples(c) + [self.synthetic_samples(c)[0]]

@@ -1,9 +1,10 @@
 import collections
+import math
 import random
 
 import pytest
 
-from e6cubic import counting, surface, torsor
+from e6cubic import arith, counting, surface, torsor
 from e6cubic.counting import _count_part
 
 
@@ -39,12 +40,28 @@ class TestOracleEquivalence:
         assert torsor_pts == brute
 
 
+def reference_visits(B, xi2, fl, f1, c1, t1max, t2max):
+    """The tau1 visits of one xi tuple, one tau1 and one root solve at a time."""
+    for run in (range(0, t1max + 1), range(-1, -t1max - 1, -1)):
+        for t1 in run:
+            if math.gcd(t1, c1) != 1:
+                continue
+            A = t1**3 * f1
+            lo, hi = counting._tau2_window(B * fl, A, xi2, t2max)
+            if hi < 0 or lo > t2max:
+                break  # both stay so for every larger |t1|
+            roots = arith.sqrt_mod(-A * pow(xi2, -1, fl), fl)
+            if roots:
+                yield t1, A, roots, lo, hi
+
+
 class TestClassCount:
     # in T1 every prime of fl = xiL^3*xi4^2*xi5 divides c2; without the
     # tau2-xi4 pair a prime of xi4 alone divides fl but not c2.  Without the
-    # tau1-xiL pair a class can have every tau2 divisible by a prime of fl;
-    # with the tau2-xi6 pair every tau2 residue can be bad at a free prime
-    @pytest.mark.parametrize(
+    # tau1-xiL pair a class can have every tau2 divisible by a prime of fl,
+    # and its targets need not be units mod fl; with the tau2-xi6 pair every
+    # tau2 residue can be bad at a free prime
+    SCHEMES = pytest.mark.parametrize(
         "scheme, top",
         [
             (torsor.T1_SCHEME, 10**4),
@@ -59,8 +76,24 @@ class TestClassCount:
             "T1-with-tau2-xi6", "T2",
         ],
     )
+    HEIGHTS = (1, 37, 100, 500, 2000, 10**4)
+
+    @SCHEMES
+    def test_visits_match_scalar_reference(self, scheme, top):
+        for B in (b for b in self.HEIGHTS if b <= top):
+            for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in counting._frames(B, scheme):
+                args = (B, xi[1], fl, f1, c1, t1max, t2max)
+                assert list(counting._tau1_visits(*args)) == list(reference_visits(*args)), (B, xi)
+
+    def test_visits_refuse_heights_beyond_int64(self):
+        # xi = (1, ..., 1): B*fl + t2max^2*xi2 = B + B^2 >= 2^62
+        B = 2**31
+        with pytest.raises(OverflowError, match=f"B = {B}"):
+            next(counting._tau1_visits(B, 1, 1, 1, 1, B, B))
+
+    @SCHEMES
     def test_matches_class_walk_per_visit(self, scheme, top):
-        for B in (b for b in (1, 37, 100, 500, 2000, 10**4) if b <= top):
+        for B in (b for b in self.HEIGHTS if b <= top):
             walked = collections.Counter(
                 (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
             )
