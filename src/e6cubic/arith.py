@@ -1,7 +1,7 @@
 """Exact elementary number theory.
 
 Factorization, the multiplicative functions omega and phi*, square roots
-modulo arbitrary moduli (the paper's root count eta(a; q) is
+modulo q < 2^31 by squaring residues (the paper's root count eta(a; q) is
 ``len(sqrt_mod(a, q))``), and exact interval congruence counts built on the
 sawtooth function.  Everything in this module is exact: values are ``int`` or
 ``Fraction``, never floats, so the counting identities hold as equalities.
@@ -156,121 +156,25 @@ def phi_star(n: int) -> Fraction:
     return out
 
 
-# --- square roots modulo prime powers and composites ---------------------
-
-
-def _tonelli_shanks(a, p):
-    """Square roots of a modulo an odd prime p, for a not divisible by p."""
-    if pow(a, (p - 1) // 2, p) != 1:
-        return []
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return [r, p - r]
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return [r, p - r]
-
-
-def _lift_odd_root(r, a, p, e):
-    """Newton-lift r with r^2 = a (mod p) to a root modulo p^e (p odd)."""
-    k = 1
-    while k < e:
-        k = min(2 * k, e)
-        mod = p**k
-        r = (r + (a % mod) * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    return r
-
-
-def _unit_roots_pow2(a, e):
-    """Roots of x^2 = a (mod 2^e) for odd a."""
-    if e == 1:
-        return [1]
-    if e == 2:
-        return [1, 3] if a % 4 == 1 else []
-    if a % 8 != 1:
-        return []
-    r = 1
-    for k in range(3, e):
-        if (r * r - a) % (1 << (k + 1)):
-            r += 1 << (k - 1)
-    q = 1 << e
-    return sorted({r, q - r, (r + (q >> 1)) % q, (q - r + (q >> 1)) % q})
-
-
-def _prime_power_roots(a, p, e):
-    """All residues x modulo p^e with x^2 = a (mod p^e)."""
-    q = p**e
-    a %= q
-    if a == 0:
-        step = p ** ((e + 1) // 2)
-        return list(range(0, q, step))
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    if v % 2:
-        return []
-    # x = p^(v/2) * u with u^2 = unit part of a modulo p^(e-v)
-    if p == 2:
-        unit = _unit_roots_pow2(a, e - v)
-    else:
-        unit = _tonelli_shanks(a % p, p)
-        if unit:
-            r = _lift_odd_root(unit[0], a, p, e - v)
-            unit = sorted({r, p ** (e - v) - r})
-    if not unit:
-        return []
-    half = v // 2
-    shift = p ** (e - v)
-    out = []
-    for r in unit:
-        for t in range(p ** (v - half)):
-            out.append((p**half * (r + t * shift)) % q)
-    return sorted(set(out))
+# --- square roots ----------------------------------------------------------
 
 
 def sqrt_mod(a: int, q: int) -> list[int]:
-    """All residues x in [0, q) with x^2 = a (mod q).
+    """All residues x in [0, q) with x^2 = a (mod q), ascending.
 
-    Works for any a (including a shared factor with q) by solving each prime
-    power of q separately and recombining with the Chinese remainder theorem.
+    Works for any a (including a shared factor with q) by squaring every
+    residue, a fixed-size chunk at a time, in int64: so q < 2^31.  It is the
+    oracle of the counter's root tables; its time grows linearly with q.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    roots = [0]
-    mod = 1
-    for p, e in factorize(q):
-        pe = p**e
-        local = _prime_power_roots(a, p, e)
-        if not local:
-            return []
-        inv = pow(mod % pe, -1, pe)
-        combined = []
-        for r0 in roots:
-            for rp in local:
-                combined.append(r0 + mod * (((rp - r0) * inv) % pe))
-        roots = combined
-        mod *= pe
-    return sorted(roots)
+    if q >= 1 << 31:
+        raise ValueError(f"modulus {q} is too large: its squares overflow int64")
+    roots = []
+    for start in range(0, q, 1 << 16):  # 512 KiB per int64 array, whatever q is
+        x = np.arange(start, min(start + (1 << 16), q), dtype=np.int64)
+        roots += x[x * x % q == a % q].tolist()
+    return roots
 
 
 # --- sawtooth and interval congruence counting ----------------------------

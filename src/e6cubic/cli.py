@@ -104,6 +104,7 @@ _b_range = _checked(
 _positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer")
 _trunc_prime = _checked(int, lambda p: p >= 10**3, "must be an integer >= 1000")
 _quad_tol = _checked(float, lambda t: 0 < t <= 1e-3, "must be a number in (0, 1e-3]")
+_c_ref = _checked(float, lambda c: 0 < c < math.inf, "must be a positive finite number")
 
 # method -> reports for a list of heights, in its order.  "fast" counts them all
 # in one pass; the others count each height on its own.  Looked up when called,
@@ -416,7 +417,7 @@ def build_parser():
             "--B-range", dest="B_range", type=_b_range, help="START:STOP:geometric:N"
         ),
         p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help),
-        p_fit.add_argument("--c-ref", dest="c_ref", type=float, default=None),
+        p_fit.add_argument("--c-ref", dest="c_ref", type=_c_ref, default=None),
         p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),
         p_fit.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9),
         p_fit.add_argument("--out", help="fit report JSON path"),

@@ -20,7 +20,8 @@ serves a fourth use:
   fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
   the oracle for the count.  The walk and the class count take their
   (xi, tau1) visits from ``_tau1_visits``, which reads every visit's roots
-  off one sorted table of the squares modulo fl, with no root solve.
+  off one sorted table of the squares modulo fl (``_root_slices``); the
+  class count reads its roots modulo a prime off such a table too.
 - the class count (``count_torsor_fast``) counts each root class in its
   tau2 interval without visiting its points: writing tau2 = r + fl*k, the k
   with p | tau2 or p | tauL are a few residues mod each prime p of the
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _prime_power_roots, factorize
+from .arith import factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
@@ -386,8 +387,8 @@ def _grid_class_counts(Bs, scheme, xis=None):
     few residues mod p, and inclusion-exclusion (``_avoiding_terms``)
     counts the k left in the window.  For p not dividing fl, k -> tau2 is a
     bijection mod p, and the bad tau2 residues (0, and the roots of
-    tau2^2*xi2 + A) are found once per visit.  tau2 = 0 and tauL = 0 fall
-    in every bad set, as gcd(0, c) = c demands.
+    tau2^2*xi2 + A, off one table of the squares mod p) are found per visit.
+    tau2 = 0 and tauL = 0 fall in every bad set, as gcd(0, c) = c demands.
 
     Everything but the tau2 window is shared by the heights: the visit
     counts at B_j when x2 <= B_j and m3*|tau1| <= B_j, and its window at B_j
@@ -407,7 +408,8 @@ def _grid_class_counts(Bs, scheme, xis=None):
             if fl % p:
                 # m = -1/xi2 mod p, so p | tauL iff tau2^2 = A*m; None if p | xi2
                 m = -pow(xi2, -1, p) % p if xi2 % p else None
-                free.append((p, in_c2, in_cl, m, pow(fl, -1, p)))
+                squares = _root_slices(np.arange(p), p) if in_cl and m is not None else None
+                free.append((p, in_c2, in_cl, m, squares, pow(fl, -1, p)))
             else:
                 tied.append((p, in_c2, in_cl, 2 * xi2 % p))
         jx = bisect_left(Bs, x2)  # the heights Bs[jx:] have x2 <= Bj
@@ -418,14 +420,16 @@ def _grid_class_counts(Bs, scheme, xis=None):
                 runs = _window_runs(Bs, jx, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
             ns = [0] * len(runs)
             tau2_bad = []
-            for p, in_c2, in_cl, m, fl_inv in free:
+            for p, in_c2, in_cl, m, squares, fl_inv in free:
                 res = [0] if in_c2 else []
                 if in_cl:
                     if m is None:
                         if A % p == 0:
                             break  # p divides every tauL
                     else:
-                        res += [s for s in _prime_power_roots(A * m, p, 1) if s not in res]
+                        sq_roots, first, last = squares
+                        a = A * m % p
+                        res += [s for s in sq_roots[first[a]:last[a]] if s not in res]
                 if res:  # all p residues bad leaves every class with no k
                     tau2_bad.append((p, fl_inv, res))
             else:

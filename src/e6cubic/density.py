@@ -340,12 +340,12 @@ def omega_inf(tol: float = 1e-9) -> ArchimedeanDensity:
     """Archimedean density, computed two ways and cross-checked.
 
     Raises ArithmeticError when the two evaluations disagree by more than
-    1e-6 plus the integrators' own error estimates.
+    the sum of the integrators' own error estimates.
     """
     a, ea = omega_inf_g2(tol)
     b, eb = omega_inf_direct(tol)
     spread = abs(a - b)
-    if spread > 1e-6 + ea + eb:
+    if spread > ea + eb:
         raise ArithmeticError(
             f"omega_inf evaluations disagree: {a!r} vs {b!r} (spread {spread:.3e})"
         )

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e6cubic import arith
+from e6cubic import arith, counting
 
 
 def naive_factor(n):
@@ -100,6 +101,14 @@ class TestMultiplicativeFunctions:
         assert arith.phi_star(m * n) == arith.phi_star(m) * arith.phi_star(n)
 
 
+def assert_root_slices(targets, q):
+    """counting._root_slices gives, for each target, sqrt_mod's roots in its order."""
+    roots, first, last = counting._root_slices(np.array(targets, dtype=np.int64), q)
+    assert len(first) == len(last) == len(targets)
+    for a, i, j in zip(targets, first, last):
+        assert roots[i:j] == arith.sqrt_mod(a, q), (a, q)
+
+
 class TestSqrtMod:
     def test_examples(self):
         assert arith.sqrt_mod(1, 5) == [1, 4]
@@ -120,6 +129,8 @@ class TestSqrtMod:
                     n for n in range(q) if (n * n - a) % q == 0
                 ), (a, q)
                 assert len(arith.sqrt_mod(a, q)) == eta_brute(a, q)
+            # every target, units and not, unsorted and repeated
+            assert_root_slices(list(range(q - 1, -1, -1)) + list(range(0, q, 3)), q)
 
     def test_sampled_moduli_up_to_2000(self):
         import random
@@ -136,17 +147,24 @@ class TestSqrtMod:
         cases = [(2, k) for k in range(1, 12)] + [(3, 7), (5, 6), (7, 5), (997, 2)]
         for p, e in cases:
             q = p**e
-            for a in (0, 1, 2, p, p * p, q - 1, 3 * p + 1):
+            targets = (0, 1, 2, p, p * p, q - 1, 3 * p + 1)
+            for a in targets:
                 roots = arith.sqrt_mod(a, q)
                 assert all((r * r - a) % q == 0 for r in roots)
                 if q <= 20000:
                     assert len(roots) == eta_brute(a, q), (a, q)
+            assert_root_slices([a % q for a in targets], q)
 
-    def test_large_modulus_roots_square_back(self):
-        q = 1_000_003**2
-        a = 123456789 % q
-        for r in arith.sqrt_mod(a * a % q, q):
-            assert r * r % q == a * a % q
+    def test_modulus_beyond_int64_squares_raises_before_allocating(self, monkeypatch):
+        def no_array(*args, **kwargs):
+            raise AssertionError("sqrt_mod allocated for a rejected modulus")
+
+        monkeypatch.setattr(arith.np, "arange", no_array)
+        for q in (2**31, 2**31 + 1, 1_000_003**2, 10**30):
+            with pytest.raises(ValueError, match="too large"):
+                arith.sqrt_mod(1, q)
+        with pytest.raises(ValueError, match="positive"):
+            arith.sqrt_mod(1, 0)
 
     def test_eta_bound_odd_moduli_sample(self):
         for q in range(1, 500, 2):

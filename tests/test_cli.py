@@ -127,6 +127,17 @@ class TestConstant:
             cli.main(["constant", "--quad-tol", "0.5"])
         assert exc.value.code == 2
 
+    def test_disagreeing_omega_inf_forms_exit_3(self, capsys, monkeypatch):
+        # shift the direct form by 1.5 times the two forms' error estimates:
+        # beyond what omega_inf accepts, far below 1e-6
+        _, ea = density.omega_inf_g2()
+        b, eb = density.omega_inf_direct()
+        shifted = b + 1.5 * (ea + eb)
+        monkeypatch.setattr(density, "omega_inf_direct", lambda tol: (shifted, eb))
+        code, out, _ = run_cli(capsys, "constant", "--trunc-prime", "2000")
+        assert code == 3
+        assert "omega_inf evaluations disagree" in json.loads(out)["error"]
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -359,6 +370,13 @@ USAGE_ERRORS = {
     "fit-counts-without-B": ({"c.csv": "count,method\n5,fast\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
     "fit-counts-not-integer": ({"c.csv": "B,count\n5,x\n"}, ["fit", "--counts", "{tmp}/c.csv"]),
     "fit-method": ({}, ["fit", "--B-range", "100:200:geometric:3", "--method", "fast"]),
+    **{
+        f"fit-c-ref-{c}": ({}, ["fit", "--B-range", "100:1000:geometric:14", f"--c-ref={c}"])
+        for c in ("0", "nan", "inf", "-1")
+    },
+    "config-c-ref-zero": (
+        {"run.cfg": "c_ref=0\n"}, ["fit", "--config", CFG, "--B-range", "100:1000:geometric:14"]
+    ),
     "count-unwritable-out": ({}, ["count", "--B", "5", "--out", "{tmp}/no/such/dir/x.csv"]),
 }
 
