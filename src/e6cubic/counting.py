@@ -19,24 +19,27 @@ serves a fourth use:
   residues, the roots of tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo
   fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
   the oracle for the count.  The walk and the class count take their
-  (xi, tau1) visits from ``_tau1_visits``, which reads every visit's roots
-  off one sorted table of the squares modulo fl (``_root_slices``); the
-  class count reads its roots modulo a prime off such a table too.
+  (xi, tau1) visits from ``_visit_arrays``, int64 arrays over tau1 that
+  read every visit's roots off one sorted table of the squares modulo fl
+  (``_root_slices``).
 - the class count (``count_torsor_fast``) counts each root class in its
-  tau2 interval without visiting its points: writing tau2 = r + fl*k, the k
-  with p | tau2 or p | tauL are a few residues mod each prime p of the
-  partner products, and inclusion-exclusion over their CRT classes counts
-  the k that avoid them all.  tau2 enters only through tau2^2 and
-  gcd(tau2, c2), and the roots r are closed under negation, so the count
-  takes tau2 >= 0 only and doubles it, less tau2 = 0 once.  The class walk
-  keeps both signs of tau2, as the count's independent oracle.
+  tau2 window without visiting its points, in one array pass per xi tuple
+  (``_class_counts``): writing tau2 = r + fl*k, the k with p | tau2 or
+  p | tauL are at most three residues mod each prime p of the partner
+  products, held for every class of the xi tuple in one array, and
+  inclusion-exclusion over their CRT classes runs on arrays of terms, one
+  prime at a time (``_avoiding_counts``), to count the k that avoid them
+  all.  tau2 enters only through tau2^2 and gcd(tau2, c2), and the roots r
+  are closed under negation, so the count takes tau2 >= 0 only and doubles
+  it, less tau2 = 0 once.  The class walk keeps both signs of tau2, as the
+  count's independent oracle.
 - the grid count (``count_torsor_grid``) is the class count at the largest
-  height of a grid, which counts every smaller height on the way: a
+  height of a grid, which counts every smaller height in the same pass: a
   (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
-  m3 * |tau1| <= B_j, and only its tau2 window shrinks with B_j, so the
-  inclusion-exclusion terms of a class serve every height.  There is one
-  class-count loop, over a sorted tuple of heights; ``count_torsor_fast``
-  runs it on one height.
+  m3 * |tau1| <= B_j, and only its tau2 window shrinks with B_j, inside the
+  larger windows, so each term counts its k in the windows of all heights
+  at once, broadcast over a height axis.  ``count_torsor_fast`` runs the
+  same pass on one height.
 
 All must agree exactly, the class count with the class walk at every
 (xi, tau1), the grid with the class count at every height; the brute surface
@@ -51,7 +54,7 @@ the full count, so parallel runs are deterministic.
 import math
 import time
 from bisect import bisect_left
-from itertools import accumulate, islice
+from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
@@ -174,19 +177,19 @@ def _frames(B, scheme, xis=None):
         )
 
 
-def _tau2_window(bfl, A, xi2, t2max):
-    """The tau2 window (lo, hi) of a height B, with bfl = B * fl.
+def _tau2_windows(bfl, A, xi2, t2max):
+    """The tau2 windows (lo, hi) at bfl = B * fl, elementwise over int64 arrays.
 
     |tauL| <= B, i.e. |tau2^2*xi2 + A| <= bfl, and the x0 bound
     |tau2| <= t2max hold iff lo <= |tau2| <= hi.  lo > hi when no tau2
-    qualifies, and hi = -1 when A > bfl.
+    qualifies, and hi = -1 when A > bfl.  bfl + |A| must stay below 2^62.
     """
-    hi_num = bfl - A
-    if hi_num < 0:
-        return 0, -1
-    lo_num = -bfl - A
-    lo = math.isqrt(-((-lo_num) // xi2) - 1) + 1 if lo_num > 0 else 0  # ceil(lo_num / xi2)
-    return lo, min(t2max, math.isqrt(hi_num // xi2))
+    num = bfl - A
+    hi = np.where(num < 0, -1, np.minimum(_isqrt_array(np.maximum(num, 0) // xi2), t2max))
+    c = np.maximum(-((bfl + A) // xi2), 0)  # ceil((-bfl - A) / xi2), at least 0
+    lo = _isqrt_array(c)
+    lo += lo * lo < c  # ceil(sqrt(c))
+    return lo, hi
 
 
 def _icbrt(n):
@@ -211,21 +214,20 @@ def _isqrt_array(n):
     return s
 
 
-def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-    """Yield (tau1, A, roots, lo, hi) for the tau1 with a tau2 class to visit.
+def _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max):
+    """(tau1, A, roots, first, last), int64 arrays over the tau1 with a tau2
+    class to visit.
 
-    A = tau1^3 * f1; the tau2 with |tauL| <= B and |tau2| <= tau2_max are
-    those with lo <= |tau2| <= hi (``_tau2_window``), and tauL is integral
-    exactly for tau2 = r (mod fl) with r in roots, the square roots of
-    -A / xi2 modulo fl, ascending.  tau1 runs 0, 1, 2, ... and then
-    -1, -2, ...
+    A = tau1^3 * f1, and tauL is integral exactly for tau2 = r (mod fl) with
+    r in roots[first[v]:last[v]], the square roots of -A / xi2 modulo fl,
+    ascending.  tau1 runs 0, 1, 2, ... and then -1, -2, ...
 
-    One xi tuple's visits are computed in int64 arrays over tau1.  A visit
-    has hi >= 0, i.e. A <= B*fl, and lo <= t2max, i.e.
-    -A <= B*fl + t2max^2*xi2, so each sign of tau1 ends at an exact cube
-    root, and |A| and the window numerators stay inside int64.  The roots
-    come from one table of the squares modulo fl (``_root_slices``), with
-    the targets -A / xi2 formed from tau1 mod fl, never from tau1^3.
+    A visit has a tau2 window (``_tau2_windows``) with hi >= 0, i.e.
+    A <= B*fl, and lo <= t2max, i.e. -A <= B*fl + t2max^2*xi2, so each sign
+    of tau1 ends at an exact cube root, and |A| and the window numerators
+    stay inside int64.  The roots come from one table of the squares modulo
+    fl (``_root_slices``), with the targets -A / xi2 formed from tau1 mod fl,
+    never from tau1^3.
     """
     bfl = B * fl
     a_max = bfl + t2max * t2max * xi2
@@ -235,42 +237,50 @@ def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
     neg = min(t1max, _icbrt(a_max // f1))  # lo <= t2max
     t1 = np.concatenate((np.arange(pos + 1), -np.arange(1, neg + 1)))
     t1 = t1[np.gcd(t1, c1) == 1]
-    if not t1.size:
-        return
-    A = t1 * t1 * t1 * f1
-    hi = np.minimum(_isqrt_array((bfl - A) // xi2), t2max)
-    c = np.maximum(-((bfl + A) // xi2), 0)  # ceil((-B*fl - A) / xi2), at least 0
-    lo = _isqrt_array(c)
-    lo += lo * lo < c  # ceil(sqrt(c))
     u = t1 % fl
     targets = u * u % fl * u % fl * (-f1 * pow(xi2, -1, fl) % fl) % fl
     roots, first, last = _root_slices(targets, fl)
-    for t, a, i, j, l, h in zip(t1.tolist(), A.tolist(), first, last, lo.tolist(), hi.tolist()):
-        if i < j:
-            yield t, a, roots[i:j], l, h
+    keep = first < last
+    t1 = t1[keep]
+    return t1, t1 * t1 * t1 * f1, roots, first[keep], last[keep]
+
+
+def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+    """Yield (tau1, A, roots, lo, hi) for each visit of ``_visit_arrays``, with
+    its roots as a list and (lo, hi) its tau2 window at B."""
+    t1, A, roots, first, last = _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max)
+    lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
+    roots = roots.tolist()
+    for t, a, i, j, l, h in zip(*(x.tolist() for x in (t1, A, first, last, lo, hi))):
+        yield t, a, roots[i:j], l, h
+
+
+_SQUARE_CHUNK = 1 << 16  # residues squared at once by _root_slices
 
 
 def _root_slices(targets, fl):
-    """(roots, first, last): roots[first[i]:last[i]] are the square roots of
-    targets[i] modulo fl, ascending, for an int64 array of targets in [0, fl).
+    """(roots, first, last), int64 arrays: roots[first[i]:last[i]] are the
+    square roots of targets[i] modulo fl, ascending, for an int64 array of
+    targets in [0, fl).
 
-    Squares every r in [0, fl) and keeps the r whose square is a target,
-    sorted stably by their square, so that each target's roots are one slice.
+    Squares every r in [0, fl), a chunk at a time, and keeps the r whose
+    square is a target, sorted stably by their square, so that each target's
+    roots are one slice.  Besides the roots kept, only the targets' mask of
+    fl bytes grows with fl.
     """
     wanted = np.zeros(fl, dtype=bool)
     wanted[targets] = True
-    squares = np.arange(fl, dtype=np.int64)
-    squares *= squares
-    squares %= fl
-    r = np.flatnonzero(wanted[squares])
-    r_sq = squares[r]
+    r, r_sq = [], []
+    for start in range(0, fl, _SQUARE_CHUNK):
+        chunk = np.arange(start, min(start + _SQUARE_CHUNK, fl), dtype=np.int64)
+        squares = chunk * chunk % fl
+        hit = wanted[squares]
+        r.append(chunk[hit])
+        r_sq.append(squares[hit])
+    r, r_sq = np.concatenate(r), np.concatenate(r_sq)
     order = np.argsort(r_sq, kind="stable")
     r_sq = r_sq[order]
-    return (
-        r[order].tolist(),
-        np.searchsorted(r_sq, targets, "left").tolist(),
-        np.searchsorted(r_sq, targets, "right").tolist(),
-    )
+    return r[order], np.searchsorted(r_sq, targets, "left"), np.searchsorted(r_sq, targets, "right")
 
 
 def _solutions(B, scheme, fast, xis=None):
@@ -305,161 +315,132 @@ def _solutions(B, scheme, fast, xis=None):
                         yield (xi, t1, t2, tl, x2, m0, m3)
 
 
-def _avoiding_terms(lo, hi, bad):
-    """(n, terms): n the number of k in [lo, hi] with k mod p outside S for
-    every (p, S) in bad, terms the inclusion-exclusion terms that give it.
+def _avoiding_counts(k_lo, k_hi, cls, bad):
+    """(cls, n) over inclusion-exclusion terms: cls[t] is the class of term
+    t and n[t, j] its signed count in column j.  Summed over the terms of a
+    class c of the given cls, n[:, j] is the number of k in
+    [k_lo[c, j], k_hi[c, j]] with k mod p outside the bad residues of c at
+    p, for every p of bad.
 
-    A term (first, step, sign) is the progression of k = first (mod step)
-    from first on, first in [lo, hi]; refining it by one bad residue of the
-    next prime gives a term of the opposite sign.  A term with no k in
-    [lo, hi] is dropped together with all its refinements, so the work stays
-    near the number of nonempty classes.  The terms also count every
-    subrange of [lo, hi] (``_count_between``).
+    bad holds (p, res, holds) with res[c] the bad residues mod p of class c,
+    distinct where they hold, and holds[c] the mask of those that do.  The
+    window of column j lies inside the last column's, or is empty with
+    k_hi = k_lo - 1.  Inclusion-exclusion runs on arrays of terms, one prime
+    at a time: a term is the progression of k = first (mod step) from first
+    on, step the product of the primes in its mask, and refining it by one
+    bad residue of the next prime gives a term of the opposite sign.  first
+    is the least such k in the last window, and a term whose first is above
+    that window's top is dropped with all its refinements, so the terms stay
+    near the number of nonempty classes.  Every term counts its k in every
+    column at once.
     """
-    n = hi - lo + 1
-    if n <= 0:
-        return 0, []
-    terms = [(lo, 1, 1)]
-    for p, residues in bad:
-        refined = []
-        for first, step, sign in terms:
-            inv = pow(step, -1, p)
-            step_p = step * p
-            for s in residues:
-                k = first + step * ((s - first) * inv % p)
-                if k <= hi:
-                    n -= sign * ((hi - k) // step_p + 1)
-                    refined.append((k, step_p, -sign))
-        terms += refined
-    return n, terms
+    top = k_hi[:, -1]
+    first = k_lo[cls, -1]
+    mask = np.zeros_like(cls)
+    steps, signs = [1], [1]  # of each mask
+    for i, (p, res, holds) in enumerate(bad):
+        inv = np.array([pow(s, -1, p) for s in steps])[mask, None]
+        step = np.array(steps)[mask, None]
+        k = first[:, None] + step * ((res[cls] - first[:, None]) % p * inv % p)
+        rows, cols = np.nonzero(holds[cls] & (k <= top[cls, None]))
+        cls = np.concatenate((cls, cls[rows]))
+        first = np.concatenate((first, k[rows, cols]))
+        mask = np.concatenate((mask, mask[rows] + (1 << i)))
+        steps += [s * p for s in steps]
+        signs += [-s for s in signs]
+    step, first = np.array(steps)[mask, None], first[:, None]
+    n = (k_hi[cls] - first) // step - (k_lo[cls] - 1 - first) // step
+    return cls, n * np.array(signs)[mask, None]
 
 
-def _count_between(terms, a, b):
-    """Number of k in [a, b] that avoid the bad residues, for terms from
-    _avoiding_terms(lo, hi, bad) with lo <= a and b <= hi."""
-    n = 0
-    for first, step, sign in terms:
-        if first <= b:
-            below = a - 1 - first  # the progression's k < a, none if first >= a
-            n += sign * ((b - first) // step - (below // step if below >= 0 else -1))
-    return n
+def _class_counts(hs, frame):
+    """(tau1, ns) for one xi tuple's frame: ns[v, j] is the number of points
+    of the visit (xi, tau1[v]) at the height hs[j].
 
+    hs is an ascending int64 array of heights with x2 <= hs[0], and the
+    frame's height is hs[-1].  Each root class r is counted without walking
+    it, on tau2 >= 0 only: tau2 enters tauL through tau2^2 and the conditions
+    through gcd(tau2, c2), and the roots are closed under negation, so the
+    points with tau2 < 0 mirror those with tau2 > 0, and a visit has twice
+    its classes' sum, less tau2 = 0 (class 0 at k = 0, its own mirror image)
+    where it is in the window and a point.
 
-def _window_runs(Bs, jx, x3, m0, fl, xi2, A, lo, hi):
-    """The runs of heights of Bs with the same tau2 window, for one visit.
-
-    (lo, hi) is the visit's window at the top height, Bs[jx:] the heights
-    with x2 <= Bj and x3 = m3*|tau1|.  Returns [(start, lo, hi)], from the
-    top down: run d covers the heights Bs[start] up to the start of run
-    d - 1 (to the top for d = 0), and (lo, hi) is their window.  The windows
-    are nested, and nonempty down to the last run's start.
+    Writing tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
+    n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
+    p | tau2 or p | tauL are at most three residues mod p, which
+    ``_avoiding_counts`` leaves out of each class's k window at every height
+    at once.  A class is dead where p divides every tau2 or every tauL of it
+    or of its visit.  For p not dividing fl, k -> tau2 is onto mod p, and the
+    bad tau2 residues (0, and the roots of tau2^2*xi2 + A, off a table of the
+    squares mod p) are found per visit.  tau2 = 0 and tauL = 0 fall in every
+    bad set, as gcd(0, c) = c demands.  The int64 arithmetic is exact while
+    the product of the primes times the largest, and fl*p*xi2 for each
+    p | fl, stay below 2^62; otherwise OverflowError.
     """
-    runs = []
-    j = len(Bs) - 1  # the lowest height seen so far; (lo, hi) is its window
-    while j > jx and Bs[j - 1] >= x3:
-        lo_j, hi_j = _tau2_window(Bs[j - 1] * fl, A, xi2, Bs[j - 1] // m0)
-        if (lo_j, hi_j) != (lo, hi):
-            runs.append((j, lo, hi))
-            if lo_j > hi_j:
-                return runs
-            lo, hi = lo_j, hi_j
-        j -= 1
-    runs.append((j, lo, hi))
-    return runs
+    xi, _, m0, m3, fl, f1, c1, c2, cl, t1max, t2max = frame
+    B, xi2 = int(hs[-1]), xi[1]
+    primes = [p for p, _ in factorize(c2 * cl)]
+    big = math.prod(primes) * max(primes, default=1) >= 1 << 62
+    if big or any(fl * p * xi2 >= 1 << 62 for p in primes if fl % p == 0):
+        raise OverflowError(f"height B = {B} is too large for the int64 class arrays")
+    t1, A, roots, first, last = _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max)
+    # class c has root r[c] and visit vis[c]; the classes of a visit are contiguous
+    size = last - first
+    vis = np.repeat(np.arange(t1.size), size)
+    r = roots[np.arange(vis.size) + np.repeat(first - np.cumsum(size) + size, size)]
+    lo, hi = _tau2_windows(fl * hs, A[:, None], xi2, hs // m0)
+    empty = (lo > hi) | (m3 * np.abs(t1)[:, None] > hs)  # or the x3 bound fails
+    lo[empty], hi[empty] = 1, 0  # an empty k window, k_hi = k_lo - 1, in every class
+    k_lo = -((r[:, None] - lo[vis]) // fl)  # ceil((lo - r) / fl)
+    k_hi = (hi[vis] - r[:, None]) // fl
+    alive = k_lo[:, -1] <= k_hi[:, -1]
+    bad = []  # (p, each class's bad k residues mod p, the mask of those that hold)
+    for p in primes:
+        in_c2, in_cl = c2 % p == 0, cl % p == 0
+        if fl % p:  # free: the bad tau2 residues of each visit
+            res = [np.zeros((t1.size, 1), np.int64)] if in_c2 else []
+            if in_cl and xi2 % p:  # p | tauL iff tau2^2 = A*m with m = -1/xi2 mod p
+                s = np.arange(p)
+                roots_p = np.full((p, 2), -1)
+                roots_p[s * s % p, (2 * s > p).astype(np.int64)] = s
+                res.append(roots_p[A % p * (-pow(xi2, -1, p) % p) % p])
+                if in_c2:
+                    res[-1][res[-1] == 0] = -1  # 0 is in the set already
+            elif in_cl:  # p | xi2: p divides every tauL of the visit or none
+                alive &= (A % p != 0)[vis]
+            if res:
+                res = np.concatenate(res, axis=1)[vis]
+                bad.append((p, (res - r[:, None]) % p * pow(fl, -1, p) % p, res >= 0))
+        else:  # tied: p | tau2 iff p | r, and tauL = -(n0 + b*k) mod p
+            if in_c2:
+                alive &= r % p != 0
+            if in_cl:
+                b = r * (2 * xi2 % p) % p
+                M = fl * p
+                n0 = (r * r % M * xi2 + A[vis]) % M // fl  # n0 mod p
+                alive &= (b != 0) | (n0 != 0)
+                inv = np.array([pow(x, -1, p) if x else 0 for x in range(p)])  # p <= B^(1/3)
+                bad.append((p, (-n0 * inv[b] % p)[:, None], (b != 0)[:, None]))
+    cls, n = _avoiding_counts(k_lo, k_hi, np.flatnonzero(alive), bad)
+    ns = np.zeros((t1.size, hs.size), np.int64)
+    np.add.at(ns, vis[cls], n)
+    ns *= 2  # class -r at tau2 <= 0 mirrors class r at tau2 >= 0
+    if c2 == 1:  # tau2 = 0 is a point where tauL = -A/fl is prime to cl
+        ns -= ((A % fl == 0) & (np.gcd(A // fl, cl) == 1))[:, None] & (lo == 0)
+    return t1, ns
 
 
 def _grid_class_counts(Bs, scheme, xis=None):
-    """Yield (xi, tau1, runs, ns) for each (xi, tau1) visit at B = Bs[-1].
+    """Yield (xi, tau1, ns) for each xi tuple at B = Bs[-1], Bs a sorted
+    tuple of distinct heights.
 
-    Bs is a sorted tuple of distinct heights.  The heights where the visit
-    has points fall into runs with the same tau2 window (``_window_runs``):
-    the visit has ns[d] points at every height of runs[d], and none below
-    the last run.  With one height, ns[0] is the count.
-
-    Counts each root class r without walking it, on tau2 >= 0 only.  tau2
-    enters tauL through tau2^2 and the conditions through gcd(tau2, c2), and
-    the roots are closed under negation, so the points with tau2 < 0 mirror
-    those with tau2 > 0: a visit has twice the classes' sum, less tau2 = 0
-    (k = 0 of class 0, its own mirror image) where it is in the window and
-    counts.  Writing tau2 = r + fl*k gives
-    tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with n0 = (r^2*xi2 + A) / fl, so
-    for every prime p of rad(c2*cl) the k with p | tau2 or p | tauL form a
-    few residues mod p, and inclusion-exclusion (``_avoiding_terms``)
-    counts the k left in the window.  For p not dividing fl, k -> tau2 is a
-    bijection mod p, and the bad tau2 residues (0, and the roots of
-    tau2^2*xi2 + A, off one table of the squares mod p) are found per visit.
-    tau2 = 0 and tauL = 0 fall in every bad set, as gcd(0, c) = c demands.
-
-    Everything but the tau2 window is shared by the heights: the visit
-    counts at B_j when x2 <= B_j and m3*|tau1| <= B_j, and its window at B_j
-    lies inside the window at every larger height.  So the terms of each
-    class are built once, on the top window, and evaluated on the smaller
-    ones.
+    ns[v, j] is the number of points of the visit (xi, tau1[v]) at the
+    height Bs[len(Bs) - ns.shape[1] + j]: the columns are the heights with
+    x2 <= Bj, and the xi tuple has no points below them (``_class_counts``).
     """
-    top = len(Bs) - 1
-    B = Bs[top]
-    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
-        xi2 = xi[1]
-        # free: p does not divide fl, and k -> tau2 is onto mod p;
-        # tied: p | fl, so p | tau2 iff p | r, and tauL = n0 + 2*r*xi2*k mod p
-        free, tied = [], []
-        for p, _ in factorize(c2 * cl):
-            in_c2, in_cl = c2 % p == 0, cl % p == 0
-            if fl % p:
-                # m = -1/xi2 mod p, so p | tauL iff tau2^2 = A*m; None if p | xi2
-                m = -pow(xi2, -1, p) % p if xi2 % p else None
-                squares = _root_slices(np.arange(p), p) if in_cl and m is not None else None
-                free.append((p, in_c2, in_cl, m, squares, pow(fl, -1, p)))
-            else:
-                tied.append((p, in_c2, in_cl, 2 * xi2 % p))
-        jx = bisect_left(Bs, x2)  # the heights Bs[jx:] have x2 <= Bj
-        for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-            if jx == top:  # no smaller height counts this xi tuple
-                runs = ((top, lo, hi),)
-            else:
-                runs = _window_runs(Bs, jx, m3 * abs(t1), m0, fl, xi2, A, lo, hi)
-            ns = [0] * len(runs)
-            tau2_bad = []
-            for p, in_c2, in_cl, m, squares, fl_inv in free:
-                res = [0] if in_c2 else []
-                if in_cl:
-                    if m is None:
-                        if A % p == 0:
-                            break  # p divides every tauL
-                    else:
-                        sq_roots, first, last = squares
-                        a = A * m % p
-                        res += [s for s in sq_roots[first[a]:last[a]] if s not in res]
-                if res:  # all p residues bad leaves every class with no k
-                    tau2_bad.append((p, fl_inv, res))
-            else:
-                for r in roots:
-                    bad = [(p, [(s - r) * fl_inv % p for s in res]) for p, fl_inv, res in tau2_bad]
-                    n0 = (r * r * xi2 + A) // fl
-                    for p, in_c2, in_cl, two_xi2 in tied:
-                        if in_c2 and r % p == 0:
-                            break  # p divides every tau2 of the class
-                        if in_cl:
-                            b = r * two_xi2 % p
-                            if b:
-                                bad.append((p, (-n0 * pow(b, -1, p) % p,)))
-                            elif n0 % p == 0:
-                                break  # p divides every tauL of the class
-                    else:  # doubled: class -r at tau2 <= 0 mirrors class r at tau2 >= 0
-                        k_lo, k_hi = -((r - lo) // fl), (hi - r) // fl
-                        if bad:
-                            n, terms = _avoiding_terms(k_lo, k_hi, bad)
-                            ns[0] += 2 * n
-                            for d, (_, lo_d, hi_d) in enumerate(runs[1:], 1):
-                                ns[d] += 2 * _count_between(terms, -((r - lo_d) // fl), (hi_d - r) // fl)
-                        else:  # every k counts, as in most classes; saves the calls
-                            ns[0] += 2 * (k_hi - k_lo + 1)
-                            for d, (_, lo_d, hi_d) in enumerate(runs[1:], 1):
-                                ns[d] += 2 * ((hi_d - r) // fl + (r - lo_d) // fl + 1)
-                        if r == 0 and all(0 not in residues for _, residues in bad):
-                            for d, (_, lo_d, _) in enumerate(runs):  # tau2 = 0 is its own mirror
-                                ns[d] -= lo_d == 0
-            yield xi, t1, runs, ns
+    heights = np.array(Bs, dtype=np.int64)
+    for frame in _frames(Bs[-1], scheme, xis):
+        yield (frame[0], *_class_counts(heights[bisect_left(Bs, frame[1]):], frame))
 
 
 def _count_part(args):
@@ -467,7 +448,7 @@ def _count_part(args):
     B, fast, parts, part, scheme = args
     xis = islice(_xi_tuples(B, scheme), part, None, parts)
     if fast:
-        return sum(ns[0] for _, _, _, ns in _grid_class_counts((B,), scheme, xis))
+        return int(sum(ns.sum() for _, _, ns in _grid_class_counts((B,), scheme, xis)))
     return sum(1 for _ in _solutions(B, scheme, False, xis))
 
 
@@ -475,14 +456,10 @@ def _grid_part(args):
     """Points at each height of Bs of every parts-th xi tuple, from the part-th on."""
     Bs, parts, part, scheme = args
     xis = islice(_xi_tuples(Bs[-1], scheme), part, None, parts)
-    steps = [0] * (len(Bs) + 1)  # steps[j] = count at Bs[j] - count at Bs[j - 1]
-    for _, _, runs, ns in _grid_class_counts(Bs, scheme, xis):
-        end = len(Bs)
-        for (j, _, _), n in zip(runs, ns):
-            steps[j] += n
-            steps[end] -= n
-            end = j
-    return tuple(accumulate(steps[:-1]))
+    counts = np.zeros(len(Bs), np.int64)
+    for _, _, ns in _grid_class_counts(Bs, scheme, xis):
+        counts[len(Bs) - ns.shape[1]:] += ns.sum(axis=0)
+    return tuple(counts.tolist())
 
 
 def _sharded(worker, job, threads):

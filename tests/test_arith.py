@@ -106,7 +106,7 @@ def assert_root_slices(targets, q):
     roots, first, last = counting._root_slices(np.array(targets, dtype=np.int64), q)
     assert len(first) == len(last) == len(targets)
     for a, i, j in zip(targets, first, last):
-        assert roots[i:j] == arith.sqrt_mod(a, q), (a, q)
+        assert roots[i:j].tolist() == arith.sqrt_mod(a, q), (a, q)
 
 
 class TestSqrtMod:
@@ -154,6 +154,15 @@ class TestSqrtMod:
                 if q <= 20000:
                     assert len(roots) == eta_brute(a, q), (a, q)
             assert_root_slices([a % q for a in targets], q)
+
+    def test_root_slices_span_several_chunks(self):
+        # every residue is a target: each r is the root of r^2 once, in order
+        q = 3 * counting._SQUARE_CHUNK + 5
+        roots, first, last = counting._root_slices(np.arange(q, dtype=np.int64), q)
+        assert sorted(roots.tolist()) == list(range(q))
+        owner = np.repeat(np.arange(q), last - first)
+        assert (roots * roots % q == owner).all()
+        assert (np.diff(roots)[owner[1:] == owner[:-1]] > 0).all()
 
     def test_modulus_beyond_int64_squares_raises_before_allocating(self, monkeypatch):
         def no_array(*args, **kwargs):

@@ -2,6 +2,7 @@ import collections
 import math
 import random
 
+import numpy as np
 import pytest
 
 from e6cubic import arith, counting, surface, torsor
@@ -40,6 +41,16 @@ class TestOracleEquivalence:
         assert torsor_pts == brute
 
 
+def tau2_window(bfl, A, xi2, t2max):
+    """The tau2 window (lo, hi) of a height B, with bfl = B * fl, in scalar ints."""
+    hi_num = bfl - A
+    if hi_num < 0:
+        return 0, -1
+    lo_num = -bfl - A
+    lo = math.isqrt(-((-lo_num) // xi2) - 1) + 1 if lo_num > 0 else 0  # ceil(lo_num / xi2)
+    return lo, min(t2max, math.isqrt(hi_num // xi2))
+
+
 def reference_visits(B, xi2, fl, f1, c1, t1max, t2max):
     """The tau1 visits of one xi tuple, one tau1 and one root solve at a time."""
     for run in (range(0, t1max + 1), range(-1, -t1max - 1, -1)):
@@ -47,7 +58,7 @@ def reference_visits(B, xi2, fl, f1, c1, t1max, t2max):
             if math.gcd(t1, c1) != 1:
                 continue
             A = t1**3 * f1
-            lo, hi = counting._tau2_window(B * fl, A, xi2, t2max)
+            lo, hi = tau2_window(B * fl, A, xi2, t2max)
             if hi < 0 or lo > t2max:
                 break  # both stay so for every larger |t1|
             roots = arith.sqrt_mod(-A * pow(xi2, -1, fl), fl)
@@ -98,9 +109,10 @@ class TestClassCount:
                 (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
             )
             counted = {}
-            for xi, t1, _, ns in counting._grid_class_counts((B,), scheme):
-                assert (xi, t1) not in counted
-                counted[(xi, t1)] = ns[0]
+            for xi, t1s, ns in counting._grid_class_counts((B,), scheme):
+                for t1, n in zip(t1s.tolist(), ns[:, 0].tolist()):
+                    assert (xi, t1) not in counted
+                    counted[(xi, t1)] = n
             assert {k: n for k, n in counted.items() if n} == dict(walked), B
 
     def test_t2_count_equals_t1_count(self):
@@ -109,16 +121,65 @@ class TestClassCount:
             assert counting.count_torsor_fast(B, scheme=torsor.T2_SCHEME).count == n
             assert counting.count_torsor_fast(B).count == n
 
+    @staticmethod
+    def avoiding(windows, bad):
+        """_avoiding_counts with one class per row of windows, whose columns are
+        (lo, hi) pairs, the last the widest; every class has the same bad set."""
+        k_lo, k_hi = (np.array([[w[i] for w in row] for row in windows]) for i in (0, 1))
+        rows = len(windows)
+        arrays = []
+        for p, residues in bad:
+            res = np.array([list(residues) + [-1] * (3 - len(residues))] * rows)
+            arrays.append((p, res % p, res >= 0))
+        cls, n = counting._avoiding_counts(k_lo, k_hi, np.arange(rows), arrays)
+        counts = np.zeros(k_lo.shape, np.int64)
+        np.add.at(counts, cls, n)
+        return counts.tolist()
+
+    @staticmethod
+    def scan(lo, hi, bad):
+        return sum(
+            1 for k in range(lo, hi + 1) if all(k % p not in residues for p, residues in bad)
+        )
+
     def test_count_avoiding_matches_scan(self):
         bad = [(2, [1]), (3, [0, 2]), (5, [1, 4]), (7, [3])]
-        for lo in range(-12, 5):
-            for hi in range(lo - 1, 250, 7):
-                scan = sum(
-                    1
-                    for k in range(lo, hi + 1)
-                    if all(k % p not in residues for p, residues in bad)
-                )
-                assert counting._avoiding_terms(lo, hi, bad)[0] == scan
+        windows = [
+            [(lo, hi)] for lo in range(-12, 5) for hi in range(lo - 1, 250, 7)
+        ]
+        assert self.avoiding(windows, bad) == [[self.scan(lo, hi, bad)] for [(lo, hi)] in windows]
+
+    def test_count_avoiding_random_bad_sets(self):
+        rng = random.Random(11)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        for _ in range(60):
+            bad = [
+                (p, rng.sample(range(p), rng.randint(1, min(3, p))))
+                for p in rng.sample(primes, rng.randint(0, 5))
+            ]
+            windows = []
+            for _ in range(20):
+                lo = rng.randint(-400, 100)
+                hi = lo + rng.choice([-1, 0, 1, rng.randint(2, 600)])  # empty, one point, ...
+                inner = []
+                for _ in range(3):  # inside (lo, hi), or empty with hi = lo - 1
+                    a = rng.randint(lo, hi + 1)
+                    inner.append((a, rng.randint(a - 1, hi)))
+                windows.append(inner + [(lo, hi)])
+            expected = [[self.scan(a, b, bad) for a, b in row] for row in windows]
+            assert self.avoiding(windows, bad) == expected, bad
+
+    def test_class_count_refuses_frames_beyond_int64(self):
+        # (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max) at B = 1:
+        # a prime p of fl = c2 with fl*p*xi2 >= 2^62, then primes of c2 whose
+        # product is >= 2^62
+        p = 1_000_003
+        tied = ((1, 2**23, 1, 1, 1, 1, 1), 1, 1, 1, p, 1, 1, p, 1, 1, 1)
+        product = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
+        free = ((1,) * 7, 1, 1, 1, 1, 1, 1, product, 1, 1, 1)
+        for frame in (tied, free):
+            with pytest.raises(OverflowError, match="B = 1 "):
+                counting._class_counts(np.array([1]), frame)
 
 
 class TestGrid:
@@ -129,14 +190,14 @@ class TestGrid:
         random.Random(3).sample(range(2, 3000), 30),
     ]
 
-    # the first two schemes of TestClassCount
-    @pytest.mark.parametrize(
-        "scheme",
-        [torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2")],
-        ids=["T1", "T1-without-xi1-xi2"],
-    )
-    def test_matches_per_height_count(self, scheme):
-        for heights in self.GRIDS:
+    SMALL_GRID = [2000, 0, 1, 37, 100, 101, 500, 999, 1000, 1499, 1999, 37]
+    # GRIDS are kept for the first two schemes of TestClassCount
+    WIDE = (torsor.T1_SCHEME, torsor.T1_SCHEME.without_pair("xi1", "xi2"))
+
+    @TestClassCount.SCHEMES
+    def test_matches_per_height_count(self, scheme, top):
+        grids = [self.SMALL_GRID] + (self.GRIDS if scheme in self.WIDE else [])
+        for heights in grids:
             expected = {B: counting.count_torsor_fast(B, scheme=scheme).count for B in set(heights)}
             for threads in (1, 2):
                 reports = counting.count_torsor_grid(heights, threads=threads, scheme=scheme)
