@@ -20,19 +20,22 @@ serves a fourth use:
   fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
   the oracle for the count.  The walk and the class count take their
   (xi, tau1) visits from ``_visit_arrays``, int64 arrays over tau1 that
-  read every visit's roots off one sorted table of the squares modulo fl
-  (``_root_slices``).
+  read every visit's roots off one sorted table of the squares modulo each
+  fl (``_root_slices``); the walk asks for one xi tuple at a time.
 - the class count (``count_torsor_fast``) counts each root class in its
-  tau2 window without visiting its points, in one array pass per xi tuple
-  (``_class_counts``): writing tau2 = r + fl*k, the k with p | tau2 or
-  p | tauL are at most three residues mod each prime p of the partner
-  products, held for every class of the xi tuple in one array, and
-  inclusion-exclusion over their CRT classes runs on arrays of terms, one
-  prime at a time (``_avoiding_counts``), to count the k that avoid them
-  all.  tau2 enters only through tau2^2 and gcd(tau2, c2), and the roots r
-  are closed under negation, so the count takes tau2 >= 0 only and doubles
-  it, less tau2 = 0 once.  The class walk keeps both signs of tau2, as the
-  count's independent oracle.
+  tau2 window without visiting its points (``_class_counts``): writing
+  tau2 = r + fl*k, the k with p | tau2 or p | tauL are at most three
+  residues mod each prime p of the partner products, and inclusion-exclusion
+  over their CRT classes runs on arrays of terms, one prime slot at a time
+  (``_avoiding_counts``), to count the k that avoid them all.  tau2 enters
+  only through tau2^2 and gcd(tau2, c2), and the roots r are closed under
+  negation, so the count takes tau2 >= 0 only and doubles it, less tau2 = 0
+  once.  The class walk keeps both signs of tau2, as the count's independent
+  oracle.  The count takes consecutive xi tuples together: the visits of
+  a chunk of at most _BATCH tau1 values share one table of squares per fl,
+  and a batch of at most _BATCH classes times heights is one array pass,
+  slot i holding each tuple's i-th prime, with one table of square roots or
+  of inverses per prime.  A larger xi tuple is a chunk or a batch alone.
 - the grid count (``count_torsor_grid``) is the class count at the largest
   height of a grid, which counts every smaller height in the same pass: a
   (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
@@ -214,48 +217,72 @@ def _isqrt_array(n):
     return s
 
 
-def _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max):
-    """(tau1, A, roots, first, last), int64 arrays over the tau1 with a tau2
-    class to visit.
-
-    A = tau1^3 * f1, and tauL is integral exactly for tau2 = r (mod fl) with
-    r in roots[first[v]:last[v]], the square roots of -A / xi2 modulo fl,
-    ascending.  tau1 runs 0, 1, 2, ... and then -1, -2, ...
+def _tau1_range(B, xi2, fl, f1, t1max, t2max):
+    """(pos, neg): the tau1 of a xi tuple with a tau2 class to visit lie in
+    0..pos and -1..-neg.
 
     A visit has a tau2 window (``_tau2_windows``) with hi >= 0, i.e.
-    A <= B*fl, and lo <= t2max, i.e. -A <= B*fl + t2max^2*xi2, so each sign
-    of tau1 ends at an exact cube root, and |A| and the window numerators
-    stay inside int64.  The roots come from one table of the squares modulo
-    fl (``_root_slices``), with the targets -A / xi2 formed from tau1 mod fl,
-    never from tau1^3.
+    A = tau1^3 * f1 <= B*fl, and lo <= t2max, i.e. -A <= B*fl + t2max^2*xi2,
+    so each sign of tau1 ends at an exact cube root, and |A| and the window
+    numerators stay inside int64; OverflowError where they would not.
     """
     bfl = B * fl
     a_max = bfl + t2max * t2max * xi2
     if a_max >= 1 << 62:  # |A| <= a_max, and B*fl - A, B*fl + A must fit in int64
         raise OverflowError(f"height B = {B} is too large for the int64 tau1 arrays")
-    pos = min(t1max, _icbrt(bfl // f1))  # hi >= 0
-    neg = min(t1max, _icbrt(a_max // f1))  # lo <= t2max
-    t1 = np.concatenate((np.arange(pos + 1), -np.arange(1, neg + 1)))
-    t1 = t1[np.gcd(t1, c1) == 1]
-    u = t1 % fl
-    targets = u * u % fl * u % fl * (-f1 * pow(xi2, -1, fl) % fl) % fl
-    roots, first, last = _root_slices(targets, fl)
+    return min(t1max, _icbrt(bfl // f1)), min(t1max, _icbrt(a_max // f1))
+
+
+def _visit_arrays(loops):
+    """(tup, tau1, A, roots, first, last), int64 arrays over the visits of
+    loops, a list of (xi2, fl, f1, c1, pos, neg), one per xi tuple.
+
+    Visit v is tau1[v] of loops[tup[v]], in the order of loops and, within
+    one, tau1 = 0, 1, ..., pos and then -1, ..., -neg (``_tau1_range``),
+    less the tau1 sharing a prime with c1 or without a root.  A = tau1^3 * f1,
+    and tauL is integral exactly for tau2 = r (mod fl) with r in
+    roots[first[v]:last[v]], the square roots of -A / xi2 modulo fl,
+    ascending.  The roots come from one table of the squares modulo each
+    distinct fl of loops (``_root_slices``), with the targets -A / xi2 formed
+    from tau1 mod fl, never from tau1^3.
+    """
+    _, fl, f1, c1, pos, neg = np.array(loops, np.int64).T
+    coef = np.array([-f * pow(x, -1, m) % m for x, m, f, *_ in loops], np.int64)
+    size = pos + neg + 1
+    tup = np.repeat(np.arange(len(loops)), size)
+    t1 = np.arange(tup.size) - np.repeat(np.cumsum(size) - size, size)  # 0, 1, ... per loop
+    t1 = np.where(t1 <= pos[tup], t1, pos[tup] - t1)
+    keep = np.gcd(t1, c1[tup]) == 1
+    t1, tup = t1[keep], tup[keep]
+    m = fl[tup]
+    targets = t1 % m
+    targets = targets * targets % m * targets % m * coef[tup] % m
+    first, last = np.empty_like(t1), np.empty_like(t1)
+    tables, base = [np.zeros(0, np.int64)], 0
+    for f in np.unique(m).tolist():
+        at = np.flatnonzero(m == f)
+        roots, a, b = _root_slices(targets[at], f)
+        first[at], last[at] = a + base, b + base
+        tables.append(roots)
+        base += roots.size
     keep = first < last
-    t1 = t1[keep]
-    return t1, t1 * t1 * t1 * f1, roots, first[keep], last[keep]
+    t1, tup = t1[keep], tup[keep]
+    return tup, t1, t1 * t1 * t1 * f1[tup], np.concatenate(tables), first[keep], last[keep]
 
 
 def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-    """Yield (tau1, A, roots, lo, hi) for each visit of ``_visit_arrays``, with
-    its roots as a list and (lo, hi) its tau2 window at B."""
-    t1, A, roots, first, last = _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max)
+    """Yield (tau1, A, roots, lo, hi) for each visit of one xi tuple
+    (``_visit_arrays``), with its roots as a list and (lo, hi) its tau2
+    window at B."""
+    pos, neg = _tau1_range(B, xi2, fl, f1, t1max, t2max)
+    _, t1, A, roots, first, last = _visit_arrays([(xi2, fl, f1, c1, pos, neg)])
     lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
     roots = roots.tolist()
     for t, a, i, j, l, h in zip(*(x.tolist() for x in (t1, A, first, last, lo, hi))):
         yield t, a, roots[i:j], l, h
 
 
-_SQUARE_CHUNK = 1 << 16  # residues squared at once by _root_slices
+_SQUARE_CHUNK = 1 << 14  # residues squared at once by _root_slices
 
 
 def _root_slices(targets, fl):
@@ -263,24 +290,52 @@ def _root_slices(targets, fl):
     square roots of targets[i] modulo fl, ascending, for an int64 array of
     targets in [0, fl).
 
-    Squares every r in [0, fl), a chunk at a time, and keeps the r whose
-    square is a target, sorted stably by their square, so that each target's
-    roots are one slice.  Besides the roots kept, only the targets' mask of
-    fl bytes grows with fl.
+    Squares every r in [0, fl/2], a chunk at a time, keeps the r whose
+    square is a target, with fl - r, which has the same square, and sorts
+    them by square and then by root, so that each target's roots are one
+    ascending slice.  Besides the roots kept, only the targets' mask of fl
+    bytes grows with fl.
     """
     wanted = np.zeros(fl, dtype=bool)
     wanted[targets] = True
     r, r_sq = [], []
-    for start in range(0, fl, _SQUARE_CHUNK):
-        chunk = np.arange(start, min(start + _SQUARE_CHUNK, fl), dtype=np.int64)
+    for start in range(0, fl // 2 + 1, _SQUARE_CHUNK):
+        chunk = np.arange(start, min(start + _SQUARE_CHUNK, fl // 2 + 1), dtype=np.int64)
         squares = chunk * chunk % fl
         hit = wanted[squares]
         r.append(chunk[hit])
         r_sq.append(squares[hit])
     r, r_sq = np.concatenate(r), np.concatenate(r_sq)
-    order = np.argsort(r_sq, kind="stable")
+    pair = (r > 0) & (2 * r < fl)  # r and fl - r are distinct roots
+    r, r_sq = np.concatenate((r, fl - r[pair])), np.concatenate((r_sq, r_sq[pair]))
+    order = np.argsort(r_sq * fl + r)
     r_sq = r_sq[order]
     return r[order], np.searchsorted(r_sq, targets, "left"), np.searchsorted(r_sq, targets, "right")
+
+
+_ROOT_ROWS = 1 << 13  # rows of a table of square roots made by _prime_square_roots
+
+
+def _prime_square_roots(p, a):
+    """(n, 2) int64: the square roots of a[i] modulo the prime p[i], the one
+    below p[i]/2 in column 0, for int64 arrays p and a with 0 <= a < p; -1
+    where there are fewer than two (0 has one root, and so has 1 mod 2).
+
+    Squares every residue of each distinct p into one table, indexed by the
+    prime's first row plus the square, a group of primes of about
+    _ROOT_ROWS rows at a time.
+    """
+    out = np.full((p.size, 2), -1)
+    primes = np.unique(p)
+    group = np.cumsum(primes) // _ROOT_ROWS
+    for q in (primes[group == g] for g in np.unique(group)):
+        at = np.cumsum(q) - q  # the first row of each prime
+        s, qs = np.arange(q.sum()) - np.repeat(at, q), np.repeat(q, q)
+        table = np.full((s.size, 2), -1)
+        table[np.repeat(at, q) + s * s % qs, (2 * s > qs).astype(np.int64)] = s
+        sel = np.flatnonzero((p >= q[0]) & (p <= q[-1]))
+        out[sel] = table[at[np.searchsorted(q, p[sel])] + a[sel]]
+    return out
 
 
 def _solutions(B, scheme, fast, xis=None):
@@ -315,119 +370,196 @@ def _solutions(B, scheme, fast, xis=None):
                         yield (xi, t1, t2, tl, x2, m0, m3)
 
 
-def _avoiding_counts(k_lo, k_hi, cls, bad):
-    """(cls, n) over inclusion-exclusion terms: cls[t] is the class of term
-    t and n[t, j] its signed count in column j.  Summed over the terms of a
-    class c of the given cls, n[:, j] is the number of k in
-    [k_lo[c, j], k_hi[c, j]] with k mod p outside the bad residues of c at
-    p, for every p of bad.
+def _avoiding_counts(k_lo, k_hi, grp, primes, bad):
+    """n, with n[c, j] the number of k in [k_lo[c, j], k_hi[c, j]] with
+    k mod p outside the bad residues of class c at p, for every prime p of c.
 
-    bad holds (p, res, holds) with res[c] the bad residues mod p of class c,
-    distinct where they hold, and holds[c] the mask of those that do.  The
-    window of column j lies inside the last column's, or is empty with
-    k_hi = k_lo - 1.  Inclusion-exclusion runs on arrays of terms, one prime
-    at a time: a term is the progression of k = first (mod step) from first
-    on, step the product of the primes in its mask, and refining it by one
-    bad residue of the next prime gives a term of the opposite sign.  first
-    is the least such k in the last window, and a term whose first is above
-    that window's top is dropped with all its refinements, so the terms stay
-    near the number of nonempty classes.  Every term counts its k in every
-    column at once.
+    Class c has the primes primes[grp[c]], distinct and padded with 1s to one
+    width, and bad[i] = (res, holds) its bad residues at its i-th prime:
+    res[c] the residues, distinct where they hold, and holds[c] the mask of
+    those that do.  The window of column j lies inside the last column's, or
+    is empty with k_hi = k_lo - 1.  Inclusion-exclusion runs on arrays of
+    terms, one prime slot at a time: a term is the progression of
+    k = first (mod step) from first on, step the product of its class's
+    primes in its mask, and refining it by one bad residue of the next prime
+    gives a term of the opposite sign.  first is the least such k in the last
+    window, and a term whose first is above that window's top is dropped
+    with all its refinements, so the terms stay near the number of classes.
+    Every term counts its k in every column at once; a class's own term,
+    with step 1, counts them without a division.  The int64 arithmetic is
+    exact while a class's primes times its largest stay below 2^62.
     """
     top = k_hi[:, -1]
-    first = k_lo[cls, -1]
+    cls = np.arange(len(k_lo))  # the class of each term, its own term first
+    first = k_lo[:, -1]
     mask = np.zeros_like(cls)
-    steps, signs = [1], [1]  # of each mask
-    for i, (p, res, holds) in enumerate(bad):
-        inv = np.array([pow(s, -1, p) for s in steps])[mask, None]
-        step = np.array(steps)[mask, None]
-        k = first[:, None] + step * ((res[cls] - first[:, None]) % p * inv % p)
-        rows, cols = np.nonzero(holds[cls] & (k <= top[cls, None]))
-        cls = np.concatenate((cls, cls[rows]))
-        first = np.concatenate((first, k[rows, cols]))
-        mask = np.concatenate((mask, mask[rows] + (1 << i)))
-        steps += [s * p for s in steps]
+    steps = np.ones((len(primes), 1), np.int64)  # steps[g, mask]: the product of g's primes in mask
+    signs = [1]  # of each mask
+    for i, (res, holds) in enumerate(bad):
+        p = primes[:, i]
+        inv = np.array([[pow(s, -1, q) for s in row] for row, q in zip(steps.tolist(), p.tolist())])
+        t, j = np.nonzero(holds[cls])  # term t refined by its class's residue j
+        c, f, msk = cls[t], first[t], mask[t]
+        g = grp[c]
+        q = p[g]
+        k = f + steps[g, msk] * ((res[c, j] - f) % q * inv[g, msk] % q)
+        keep = k <= top[c]
+        cls = np.concatenate((cls, c[keep]))
+        first = np.concatenate((first, k[keep]))
+        mask = np.concatenate((mask, msk[keep] + (1 << i)))
+        steps = np.concatenate((steps, steps * p[:, None]), axis=1)
         signs += [-s for s in signs]
-    step, first = np.array(steps)[mask, None], first[:, None]
-    n = (k_hi[cls] - first) // step - (k_lo[cls] - 1 - first) // step
-    return cls, n * np.array(signs)[mask, None]
+    n = k_hi - k_lo + 1  # the classes' own terms
+    own = len(k_lo)
+    cls, first, mask = cls[own:], first[own:, None], mask[own:]
+    step = steps[grp[cls], mask, None]
+    counts = (k_hi[cls] - first) // step - (k_lo[cls] - 1 - first) // step
+    np.add.at(n, cls, counts * np.array(signs)[mask, None])
+    return n
 
 
-def _class_counts(hs, frame):
-    """(tau1, ns) for one xi tuple's frame: ns[v, j] is the number of points
-    of the visit (xi, tau1[v]) at the height hs[j].
+def _k_windows(lo, hi, fl, vis, r):
+    """(k_lo, k_hi): tau2 = r[c] + fl*k lies in the window [lo, hi] of its
+    visit vis[c] iff k_lo[c] <= k <= k_hi[c], elementwise over the columns,
+    for 0 <= r < fl; one division per visit, none per class."""
+    q, rem = np.divmod(lo, fl[:, None])
+    k_lo = q[vis] + (rem[vis] > r[:, None])  # ceil((lo - r) / fl)
+    q, rem = np.divmod(hi, fl[:, None])
+    return k_lo, q[vis] - (rem[vis] < r[:, None])  # floor((hi - r) / fl)
 
-    hs is an ascending int64 array of heights with x2 <= hs[0], and the
-    frame's height is hs[-1].  Each root class r is counted without walking
-    it, on tau2 >= 0 only: tau2 enters tauL through tau2^2 and the conditions
-    through gcd(tau2, c2), and the roots are closed under negation, so the
-    points with tau2 < 0 mirror those with tau2 > 0, and a visit has twice
-    its classes' sum, less tau2 = 0 (class 0 at k = 0, its own mirror image)
+
+_BATCH = 1 << 12  # tau1 values of a visit chunk, classes times heights of a class batch
+
+
+def _batches(sized):
+    """Lists of consecutive items of sized, an iterable of (item, n, w): the
+    n of a list times its largest w is at most _BATCH, or the list is one
+    item."""
+    batch, total, wide = [], 0, 0
+    for item, n, w in sized:
+        if batch and (total + n) * max(wide, w) > _BATCH:
+            yield batch
+            batch, total, wide = [], 0, 0
+        batch.append(item)
+        total, wide = total + n, max(wide, w)
+    if batch:
+        yield batch
+
+
+def _class_counts(hs, frames, visits):
+    """ns for a batch of xi tuples, counted in one array pass: ns[v, j] is
+    the number of points of visit v at the height hs[j].
+
+    frames are consecutive frames of ``_frames`` at the height hs[-1], an
+    ascending int64 array of heights, and visits = (tup, tau1, A, roots,
+    first, last) their visits as ``_visit_arrays`` gives them, visit v being
+    (xi, tau1[v]) of frames[tup[v]].  The batch's classes, with each xi
+    tuple's data, lie in one set of arrays.  A height below a tuple's x2 has
+    an empty window in each of its classes, like a height below m3*|tau1|.
+    Each root class r is counted without walking it, on tau2 >= 0 only:
+    tau2 enters tauL through tau2^2 and the conditions through
+    gcd(tau2, c2), and the roots are closed under negation, so the points
+    with tau2 < 0 mirror those with tau2 > 0, and a visit has twice its
+    classes' sum, less tau2 = 0 (class 0 at k = 0, its own mirror image)
     where it is in the window and a point.
 
     Writing tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
     n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
     p | tau2 or p | tauL are at most three residues mod p, which
     ``_avoiding_counts`` leaves out of each class's k window at every height
-    at once.  A class is dead where p divides every tau2 or every tauL of it
-    or of its visit.  For p not dividing fl, k -> tau2 is onto mod p, and the
-    bad tau2 residues (0, and the roots of tau2^2*xi2 + A, off a table of the
-    squares mod p) are found per visit.  tau2 = 0 and tauL = 0 fall in every
-    bad set, as gcd(0, c) = c demands.  The int64 arithmetic is exact while
-    the product of the primes times the largest, and fl*p*xi2 for each
-    p | fl, stay below 2^62; otherwise OverflowError.
+    at once.  Slot i holds each tuple's i-th prime, so a batch has as many
+    slots as its tuples have primes at most.  A class is dead where p
+    divides every tau2 or every tauL of it or of its visit.  For p not
+    dividing fl, k -> tau2 is onto mod p, and the bad tau2 residues (0, and
+    the roots of tau2^2*xi2 + A, off a table of the squares mod p) are found
+    per visit; for p | fl, k -> tauL is affine mod p, solved with a table of
+    inverses mod p.  Each prime has one table per batch.  tau2 = 0 and
+    tauL = 0 fall in every bad set, as gcd(0, c) = c demands.  The int64
+    arithmetic is exact while the product of a tuple's primes times the
+    largest, and fl*p*xi2 for each p | fl, stay below 2^62; otherwise
+    OverflowError.
     """
-    xi, _, m0, m3, fl, f1, c1, c2, cl, t1max, t2max = frame
-    B, xi2 = int(hs[-1]), xi[1]
-    primes = [p for p, _ in factorize(c2 * cl)]
-    big = math.prod(primes) * max(primes, default=1) >= 1 << 62
-    if big or any(fl * p * xi2 >= 1 << 62 for p in primes if fl % p == 0):
-        raise OverflowError(f"height B = {B} is too large for the int64 class arrays")
-    t1, A, roots, first, last = _visit_arrays(B, xi2, fl, f1, c1, t1max, t2max)
+    tup, t1, A, roots, first, last = visits
+    B = int(hs[-1])
+    prime_sets, rows = [], []
+    for xi, x2, m0, m3, fl, _, _, c2, cl, _, _ in frames:
+        primes = [p for p, _ in factorize(c2 * cl)]
+        big = math.prod(primes) * max(primes, default=1) >= 1 << 62
+        if big or any(fl * p * xi[1] >= 1 << 62 for p in primes if fl % p == 0):
+            raise OverflowError(f"height B = {B} is too large for the int64 class arrays")
+        prime_sets.append(primes)
+        rows.append((fl, xi[1], m0, m3, x2, c2, cl))
+    fl, xi2, m0, m3, x2, c2, cl = np.array(rows, np.int64)[tup].T  # of each visit
     # class c has root r[c] and visit vis[c]; the classes of a visit are contiguous
     size = last - first
     vis = np.repeat(np.arange(t1.size), size)
     r = roots[np.arange(vis.size) + np.repeat(first - np.cumsum(size) + size, size)]
-    lo, hi = _tau2_windows(fl * hs, A[:, None], xi2, hs // m0)
-    empty = (lo > hi) | (m3 * np.abs(t1)[:, None] > hs)  # or the x3 bound fails
+    lo, hi = _tau2_windows(fl[:, None] * hs, A[:, None], xi2[:, None], hs // m0[:, None])
+    empty = (lo > hi) | (m3[:, None] * np.abs(t1)[:, None] > hs) | (x2[:, None] > hs)
     lo[empty], hi[empty] = 1, 0  # an empty k window, k_hi = k_lo - 1, in every class
-    k_lo = -((r[:, None] - lo[vis]) // fl)  # ceil((lo - r) / fl)
-    k_hi = (hi[vis] - r[:, None]) // fl
-    alive = k_lo[:, -1] <= k_hi[:, -1]
-    bad = []  # (p, each class's bad k residues mod p, the mask of those that hold)
-    for p in primes:
-        in_c2, in_cl = c2 % p == 0, cl % p == 0
-        if fl % p:  # free: the bad tau2 residues of each visit
-            res = [np.zeros((t1.size, 1), np.int64)] if in_c2 else []
-            if in_cl and xi2 % p:  # p | tauL iff tau2^2 = A*m with m = -1/xi2 mod p
-                s = np.arange(p)
-                roots_p = np.full((p, 2), -1)
-                roots_p[s * s % p, (2 * s > p).astype(np.int64)] = s
-                res.append(roots_p[A % p * (-pow(xi2, -1, p) % p) % p])
-                if in_c2:
-                    res[-1][res[-1] == 0] = -1  # 0 is in the set already
-            elif in_cl:  # p | xi2: p divides every tauL of the visit or none
-                alive &= (A % p != 0)[vis]
-            if res:
-                res = np.concatenate(res, axis=1)[vis]
-                bad.append((p, (res - r[:, None]) % p * pow(fl, -1, p) % p, res >= 0))
-        else:  # tied: p | tau2 iff p | r, and tauL = -(n0 + b*k) mod p
-            if in_c2:
-                alive &= r % p != 0
-            if in_cl:
-                b = r * (2 * xi2 % p) % p
-                M = fl * p
-                n0 = (r * r % M * xi2 + A[vis]) % M // fl  # n0 mod p
-                alive &= (b != 0) | (n0 != 0)
-                inv = np.array([pow(x, -1, p) if x else 0 for x in range(p)])  # p <= B^(1/3)
-                bad.append((p, (-n0 * inv[b] % p)[:, None], (b != 0)[:, None]))
-    cls, n = _avoiding_counts(k_lo, k_hi, np.flatnonzero(alive), bad)
-    ns = np.zeros((t1.size, hs.size), np.int64)
-    np.add.at(ns, vis[cls], n)
+    # slot i of a tuple holds its i-th prime p, padded with p = 1, as
+    # (p, m, finv, zero, has_roots, kill_a, kill_r, at_inv): m = -1/xi2 and
+    # finv = 1/fl mod p, zero where tau2 = 0 is bad, has_roots where the
+    # roots of A*m are, kill_a and kill_r where p | A and p | r kill a class,
+    # at_inv the first row of p's table of inverses, or row 0 for none
+    width = max(map(len, prime_sets))
+    inv_at = {}
+    slots = []
+    for (f, x, *_, c2_, cl_), primes in zip(rows, prime_sets):
+        for p in primes:
+            in_c2, in_cl = c2_ % p == 0, cl_ % p == 0
+            if f % p == 0:  # tied: p | tau2 iff p | r, and tauL = -(n0 + b*k) mod p
+                at_inv = inv_at.setdefault(p, 1 + sum(inv_at)) if in_cl else 0
+                slots.append((p, 0, 0, 0, 0, 0, in_c2, at_inv))
+            elif in_cl and x % p:  # free: p | tauL iff tau2^2 = A*m, m = -1/xi2 mod p
+                slots.append((p, -pow(x, -1, p) % p, pow(f, -1, p), in_c2, 1, 0, 0, 0))
+            else:  # free, with p | xi2 where p | cl: p divides every tauL of a visit or none
+                slots.append((p, 0, pow(f, -1, p), in_c2, 0, in_cl, 0, 0))
+        slots += [(1, 0, 0, 0, 0, 0, 0, 0)] * (width - len(primes))
+    slots = np.array(slots, np.int64).reshape(len(rows), width, 8)
+    v, i = np.nonzero(slots[tup, :, 4])  # the roots of A*m mod p at each visit's slots
+    p, m = slots[tup[v], i, 0], slots[tup[v], i, 1]
+    roots_am = np.full((t1.size, width, 2), -1)
+    roots_am[v, i] = _prime_square_roots(p, A[v] % p * m % p)
+    inv_table = np.array([0] + [pow(x, -1, p) if x else 0 for p in inv_at for x in range(p)])
+    ct = tup[vis]  # the tuple of each class
+    dead = np.zeros(r.size, bool)  # where p divides every tau2 or every tauL of a class
+
+    def bad():  # each slot's bad k residues in turn, marking the dead classes
+        for i in range(width):
+            p, _, finv, zero, has_roots, kill_a, kill_r, at_inv = slots[:, i].T
+            res, holds = np.empty((r.size, 3), np.int64), np.zeros((r.size, 3), bool)
+            if kill_r.any():
+                dead[:] |= (kill_r[ct] == 1) & (r % p[ct] == 0)
+            if kill_a.any():
+                dead[:] |= (kill_a[ct] == 1) & (A[vis] % p[ct] == 0)
+            if (zero | has_roots).any():  # free: the k with tau2 = 0 or tau2^2 = A*m mod p
+                c = np.flatnonzero((zero | has_roots)[ct])
+                g, q = ct[c], p[ct[c], None]
+                s = roots_am[vis[c], i]
+                s[(s == 0) & (zero[g, None] == 1)] = -1  # 0 is in the set already
+                s = np.column_stack((np.where(zero[g] == 1, 0, -1), s))
+                res[c] = (s - r[c, None]) % q * finv[g, None] % q
+                holds[c] = s >= 0
+            if at_inv.any():  # tied, p | cl: the k with b*k = -n0 mod p
+                c = np.flatnonzero(at_inv[ct])
+                g, v, rc = ct[c], vis[c], r[c]
+                q, x, f = p[g], xi2[v], fl[v]
+                b = rc * (2 * x % q) % q
+                M = f * q
+                n0 = (rc * rc % M * x + A[v]) % M // f  # n0 mod p
+                dead[c] |= (b == 0) & (n0 == 0)
+                res[c, 0] = -n0 * inv_table[at_inv[g] + b] % q
+                holds[c, 0] = b != 0
+            yield res, holds
+
+    n = _avoiding_counts(*_k_windows(lo, hi, fl, vis, r), ct, slots[:, :, 0], bad())
+    n[dead] = 0  # dead is complete once the terms are
+    ns = np.add.reduceat(n, np.cumsum(size) - size) if t1.size else n[:0]
     ns *= 2  # class -r at tau2 <= 0 mirrors class r at tau2 >= 0
-    if c2 == 1:  # tau2 = 0 is a point where tauL = -A/fl is prime to cl
-        ns -= ((A % fl == 0) & (np.gcd(A // fl, cl) == 1))[:, None] & (lo == 0)
-    return t1, ns
+    # tau2 = 0 is a point where c2 = 1 and tauL = -A/fl is prime to cl
+    ns -= ((c2 == 1) & (A % fl == 0) & (np.gcd(A // fl, cl) == 1))[:, None] & (lo == 0)
+    return ns
 
 
 def _grid_class_counts(Bs, scheme, xis=None):
@@ -436,11 +568,37 @@ def _grid_class_counts(Bs, scheme, xis=None):
 
     ns[v, j] is the number of points of the visit (xi, tau1[v]) at the
     height Bs[len(Bs) - ns.shape[1] + j]: the columns are the heights with
-    x2 <= Bj, and the xi tuple has no points below them (``_class_counts``).
+    x2 <= Bj, and the xi tuple has no points below them.  The xi tuples come
+    in chunks of at most _BATCH tau1 values, whose visits are found together
+    (``_visit_arrays``), and a chunk's tuples in batches of at most _BATCH
+    classes times heights, each counted in one array pass
+    (``_class_counts``) on the heights from its lowest x2 on; a tuple above
+    a cap is a chunk or a batch alone.
     """
     heights = np.array(Bs, dtype=np.int64)
-    for frame in _frames(Bs[-1], scheme, xis):
-        yield (frame[0], *_class_counts(heights[bisect_left(Bs, frame[1]):], frame))
+    B = Bs[-1]
+
+    def loops():
+        for frame in _frames(B, scheme, xis):
+            xi, _, _, _, fl, f1, c1, _, _, t1max, t2max = frame
+            pos, neg = _tau1_range(B, xi[1], fl, f1, t1max, t2max)
+            yield (frame, (xi[1], fl, f1, c1, pos, neg)), pos + neg + 1, 1
+
+    for chunk in _batches(loops()):
+        frames = [frame for frame, _ in chunk]
+        tup, t1, A, roots, first, last = _visit_arrays([loop for _, loop in chunk])
+        at = np.searchsorted(tup, np.arange(len(chunk) + 1))  # each tuple's first visit
+        classes = np.diff(np.concatenate(([0], np.cumsum(last - first)))[at]).tolist()
+        at = at.tolist()
+        low = [bisect_left(Bs, frame[1]) for frame in frames]  # each tuple's lowest height
+        for batch in _batches(zip(range(len(chunk)), classes, (len(Bs) - j for j in low))):
+            a, b = batch[0], batch[-1] + 1
+            part, j0 = slice(at[a], at[b]), min(low[a:b])
+            visits = (tup[part] - a, t1[part], A[part], roots, first[part], last[part])
+            ns = _class_counts(heights[j0:], frames[a:b], visits)
+            for i in batch:
+                v = slice(at[i] - at[a], at[i + 1] - at[a])
+                yield frames[i][0], t1[at[i]:at[i + 1]], ns[v, low[i] - j0:]
 
 
 def _count_part(args):

@@ -156,13 +156,27 @@ class TestSqrtMod:
             assert_root_slices([a % q for a in targets], q)
 
     def test_root_slices_span_several_chunks(self):
-        # every residue is a target: each r is the root of r^2 once, in order
-        q = 3 * counting._SQUARE_CHUNK + 5
+        # every residue is a target: each r is the root of r^2 once, in order;
+        # the squared r run over [0, q/2], three chunks and a remainder
+        q = 6 * counting._SQUARE_CHUNK + 5
         roots, first, last = counting._root_slices(np.arange(q, dtype=np.int64), q)
         assert sorted(roots.tolist()) == list(range(q))
         owner = np.repeat(np.arange(q), last - first)
         assert (roots * roots % q == owner).all()
         assert (np.diff(roots)[owner[1:] == owner[:-1]] > 0).all()
+
+    def test_prime_square_roots_in_groups(self, monkeypatch):
+        # tables of about 64 rows: small primes share one, the larger have one each
+        monkeypatch.setattr(counting, "_ROOT_ROWS", 64)
+        primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))]
+        p = np.array([q for q in primes for _ in range(q)])
+        a = np.array([x for q in primes for x in range(q)])
+        order = np.random.default_rng(5).permutation(p.size)
+        p, a = p[order], a[order]
+        roots = counting._prime_square_roots(p, a)
+        for q, x, pair in zip(p.tolist(), a.tolist(), roots.tolist()):
+            assert [s for s in pair if s >= 0] == arith.sqrt_mod(x, q), (x, q)
+        assert counting._prime_square_roots(p[:0], a[:0]).shape == (0, 2)
 
     def test_modulus_beyond_int64_squares_raises_before_allocating(self, monkeypatch):
         def no_array(*args, **kwargs):

@@ -130,11 +130,10 @@ class TestClassCount:
         arrays = []
         for p, residues in bad:
             res = np.array([list(residues) + [-1] * (3 - len(residues))] * rows)
-            arrays.append((p, res % p, res >= 0))
-        cls, n = counting._avoiding_counts(k_lo, k_hi, np.arange(rows), arrays)
-        counts = np.zeros(k_lo.shape, np.int64)
-        np.add.at(counts, cls, n)
-        return counts.tolist()
+            arrays.append((res % p, res >= 0))
+        primes = np.array([[p for p, _ in bad]], np.int64).reshape(1, len(bad))
+        grp = np.zeros(rows, np.int64)
+        return counting._avoiding_counts(k_lo, k_hi, grp, primes, arrays).tolist()
 
     @staticmethod
     def scan(lo, hi, bad):
@@ -169,17 +168,65 @@ class TestClassCount:
             expected = [[self.scan(a, b, bad) for a, b in row] for row in windows]
             assert self.avoiding(windows, bad) == expected, bad
 
-    def test_class_count_refuses_frames_beyond_int64(self):
+    @staticmethod
+    def batched(monkeypatch, cap, Bs, scheme):
+        """_grid_class_counts as lists, with the batch cap set to cap, and the
+        number of array passes it made."""
+        passes = []
+        class_counts = counting._class_counts
+
+        def counted(*args):
+            passes.append(1)
+            return class_counts(*args)
+
+        monkeypatch.setattr(counting, "_BATCH", cap)
+        monkeypatch.setattr(counting, "_class_counts", counted)
+        rows = [
+            (xi, t1.tolist(), ns.tolist()) for xi, t1, ns in counting._grid_class_counts(Bs, scheme)
+        ]
+        return rows, len(passes)
+
+    def test_batches_keep_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(counting, "_BATCH", 10)
+        sized = [("a", 4, 1), ("b", 6, 1), ("c", 11, 1), ("d", 0, 1), ("e", 3, 1), ("f", 8, 1)]
+        assert list(counting._batches(sized)) == [["a", "b"], ["c"], ["d", "e"], ["f"]]
+        # the largest width counts for the whole list
+        sized = [("a", 2, 1), ("b", 3, 2), ("c", 1, 4), ("d", 1, 1), ("e", 1, 10), ("f", 0, 11)]
+        assert list(counting._batches(sized)) == [["a", "b"], ["c", "d"], ["e"], ["f"]]
+        assert list(counting._batches([("g", 3, 3), ("h", 1, 1)])) == [["g"], ["h"]]
+
+    @SCHEMES
+    def test_counts_do_not_depend_on_batches(self, scheme, top, monkeypatch):
+        # a cap below every size puts each xi tuple in a batch of its own, a cap
+        # above their sum puts all in one; the small grid's lower heights lie
+        # below the x2 of some tuples of the batch
+        grids = [(B,) for B in self.HEIGHTS if B <= top] + [tuple(sorted(set(TestGrid.SMALL_GRID)))]
+        for Bs in grids:
+            alone, passes = self.batched(monkeypatch, -1, Bs, scheme)
+            assert passes == len(alone)
+            together, passes = self.batched(monkeypatch, 1 << 62, Bs, scheme)
+            assert passes == 1
+            assert together == alone, Bs
+
+    def test_class_count_refuses_frames_beyond_int64(self, monkeypatch):
         # (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max) at B = 1:
         # a prime p of fl = c2 with fl*p*xi2 >= 2^62, then primes of c2 whose
-        # product is >= 2^62
+        # product is >= 2^62, each alone and in one batch after the frame of B = 1
         p = 1_000_003
         tied = ((1, 2**23, 1, 1, 1, 1, 1), 1, 1, 1, p, 1, 1, p, 1, 1, 1)
         product = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
         free = ((1,) * 7, 1, 1, 1, 1, 1, 1, product, 1, 1, 1)
-        for frame in (tied, free):
+        [benign] = counting._frames(1, torsor.T1_SCHEME)
+        monkeypatch.setattr(counting, "_BATCH", 1 << 62)
+
+        def counted(frames):
+            monkeypatch.setattr(counting, "_frames", lambda B, scheme, xis: iter(frames))
+            return [ns.sum() for _, _, ns in counting._grid_class_counts((1,), torsor.T1_SCHEME)]
+
+        assert counted([benign]) == [7]
+        for frames in ([tied], [free], [benign, tied], [benign, free]):
             with pytest.raises(OverflowError, match="B = 1 "):
-                counting._class_counts(np.array([1]), frame)
+                counted(frames)
 
 
 class TestGrid:
