@@ -180,19 +180,22 @@ def sqrt_mod(a: int, q: int) -> list[int]:
 # --- sawtooth and interval congruence counting ----------------------------
 
 
+def _sawtooth_numerator(t: int, e: int, tilde: bool) -> int:
+    """2e times the sawtooth of t/e for e > 0: psi_tilde's when tilde, else psi_frac's."""
+    r = t % e
+    return 2 * r - e + (2 * e if tilde and r == 0 else 0)
+
+
 def psi_frac(t) -> Fraction:
     """Sawtooth {t} - 1/2, exact on rationals."""
     t = Fraction(t)
-    return t - (t.numerator // t.denominator) - Fraction(1, 2)
+    return Fraction(_sawtooth_numerator(t.numerator, t.denominator, False), 2 * t.denominator)
 
 
 def psi_tilde(t) -> Fraction:
     """Sawtooth shifted up by 1 at integers; equals psi_frac elsewhere."""
     t = Fraction(t)
-    val = psi_frac(t)
-    if t.denominator == 1:
-        val += 1
-    return val
+    return Fraction(_sawtooth_numerator(t.numerator, t.denominator, True), 2 * t.denominator)
 
 
 @dataclass(frozen=True)
@@ -213,20 +216,29 @@ def count_congruence_interval(b1, b2, a: int, q: int) -> CongruenceCount:
     """Count n in [b1, b2] with n = a (mod q); b1, b2 may be rationals.
 
     The count is always computed directly.  When gcd(a, q) = 1 the main
-    term (b2 - b1)/q and the sawtooth remainder are attached and satisfy
-    the exact identity above.
+    term (b2 - b1)/q and the sawtooth remainder
+    psi_tilde((b1 - a)/q) - psi_frac((b2 - a)/q) are attached and satisfy
+    the exact identity above.  With b1 = n1/d1 and b2 = n2/d2, each is one
+    Fraction of integers: (b_i - a)/q = (n_i - a*d_i)/(q*d_i), and the
+    sawtooth of t/e is (2*(t mod e) - e)/(2e), plus 1 for psi_tilde at e | t.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    b1, b2 = Fraction(b1), Fraction(b2)
-    if b1 > b2:
+    n1, d1 = Fraction(b1).as_integer_ratio()
+    n2, d2 = Fraction(b2).as_integer_ratio()
+    if n1 * d2 > n2 * d1:
         raise ValueError("empty interval: b1 > b2")
-    lo = -((-b1.numerator) // b1.denominator)  # ceil(b1)
-    hi = b2.numerator // b2.denominator  # floor(b2)
+    lo = -(-n1 // d1)  # ceil(b1)
+    hi = n2 // d2  # floor(b2)
     first = lo + ((a - lo) % q)
-    exact = max(0, (hi - first) // q + 1) if first <= hi else 0
+    exact = (hi - first) // q + 1 if first <= hi else 0
     if math.gcd(a, q) != 1:
         return CongruenceCount(exact, None, None)
-    main = (b2 - b1) / q
-    rem = psi_tilde((b1 - a) / q) - psi_frac((b2 - a) / q)
+    e1, e2 = q * d1, q * d2  # (b_i - a)/q = (n_i - a*d_i)/e_i
+    main = Fraction(n2 * d1 - n1 * d2, d1 * e2)
+    rem = Fraction(
+        _sawtooth_numerator(n1 - a * d1, e1, True) * e2
+        - _sawtooth_numerator(n2 - a * d2, e2, False) * e1,
+        2 * e1 * e2,
+    )
     return CongruenceCount(exact, main, rem)

@@ -76,7 +76,6 @@ from .torsor import (
     XI_NAMES,
     CoprimalityScheme,
     TorsorPoint,
-    monomial,
 )
 
 __all__ = [
@@ -160,24 +159,28 @@ def _xi_tuples(B, scheme):
     return rec(0, 1) if B >= 1 else iter(())
 
 
+_FRAME_CHUNK = 1 << 10  # xi tuples whose monomials _frames forms in one array pass
+
+
 def _frames(B, scheme, xis=None):
     """Yield, per xi tuple of xis (default: all), the data of its tau loops.
 
     (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max), where
     fl and f1 are the coefficients of tauL and tau1^3 in the equation and
     c1, c2, cl the products of the xi's that tau1, tau2, tauL must be
-    coprime to.
+    coprime to.  The eight monomials of a chunk of xi tuples come from one
+    int64 pass; each exponent is at most LAMBDA's, so every monomial and
+    partial product is at most x2 <= B, and a larger B raises OverflowError.
     """
-    _, _, (e1, e2, el) = _scheme_tables(scheme)
-    for xi in _xi_tuples(B, scheme) if xis is None else xis:
-        m0 = monomial(xi, X0_EXPONENTS)
-        m3 = monomial(xi, X3_EXPONENTS)
-        yield (
-            xi, monomial(xi, LAMBDA), m0, m3,
-            monomial(xi, FL_EXPONENTS), monomial(xi, F1_EXPONENTS),
-            monomial(xi, e1), monomial(xi, e2), monomial(xi, el),
-            B // m3, B // m0,
-        )
+    if B >= 1 << 63:
+        raise OverflowError(f"height B = {B} is too large for the int64 monomials")
+    _, _, partners = _scheme_tables(scheme)
+    xis = iter(_xi_tuples(B, scheme) if xis is None else xis)
+    exps = np.array((LAMBDA, X0_EXPONENTS, X3_EXPONENTS, FL_EXPONENTS, F1_EXPONENTS, *partners))
+    while chunk := list(islice(xis, _FRAME_CHUNK)):
+        monos = np.prod(np.array(chunk, np.int64)[:, None, :] ** exps, axis=2).tolist()
+        for xi, (x2, m0, m3, fl, f1, c1, c2, cl) in zip(chunk, monos):
+            yield xi, x2, m0, m3, fl, f1, c1, c2, cl, B // m3, B // m0
 
 
 def _tau2_windows(bfl, A, xi2, t2max):

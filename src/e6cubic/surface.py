@@ -3,8 +3,12 @@
 Point representation and normalization, the height, membership of the unique
 line, and an exhaustive counting oracle that scans primitive integer
 quadruples directly.  The oracle is deliberately simple: it is the reference
-against which the torsor-based counter is checked.  ``CountReport`` is the
-record that every counter, this one included, returns.
+against which the torsor-based counter is checked.  It tries every x0 for
+every (x2, x3) with x2 | x3^3, in numpy int64 blocks of x3 rows, so 2*B^3
+must stay below 2^63 (B <= 1,664,510); it uses nothing of the torsor
+and no residue-class shortcut beyond x2 | x3^3.  Its own oracle is the plain
+triple loop of the tests.  ``CountReport`` is the record that every counter,
+this one included, returns.
 """
 
 import math
@@ -12,6 +16,8 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
+
+import numpy as np
 
 from .arith import factorize
 
@@ -122,6 +128,11 @@ def _height(B):
     return B
 
 
+# int64 cells of one block of the brute scan, a few x3 rows times every x0:
+# its arrays stay near 2^14 cells whatever B, or one row of 2B + 1 cells
+_BLOCK_CELLS = 1 << 14
+
+
 def brute_points(B: int) -> Iterator[RationalPoint]:
     """All points of the surface off the line with height <= B, each once.
 
@@ -130,20 +141,30 @@ def brute_points(B: int) -> Iterator[RationalPoint]:
     the height bound holds, and the quadruple is primitive.  Points with
     x2 = 0 lie on the line (the cubic forces x3 = 0 there), so starting at
     x2 = 1 both excludes the line and picks one representative per point.
+    The points come in that order: x2, then x3, then x0, ascending.
+
+    Each x2 takes its x3 rows in blocks of about _BLOCK_CELLS int64 cells,
+    every x0 of a row at once.  |x2*x0^2 + x3^3| <= 2*B^3 must fit in int64,
+    so a larger B raises OverflowError on the first step, before anything
+    is allocated.
     """
-    for x2 in range(1, _height(B) + 1):
-        x2sq = x2 * x2
+    B = _height(B)
+    if 2 * B**3 >= 1 << 63:
+        raise OverflowError(f"height bound B = {B} is too large for the int64 brute scan")
+    x0 = np.arange(-B, B + 1, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // x0.size)
+    for x2 in range(1, B + 1):
+        x2x0sq = x2 * x0 * x0
         step = _cube_divisor_step(x2)
-        for x3 in range(-(B // step) * step, B + 1, step):
-            x3cu = x3**3
-            for x0 in range(-B, B + 1):
-                num = -(x2 * x0 * x0 + x3cu)
-                x1, r = divmod(num, x2sq)
-                if r or abs(x1) > B:
-                    continue
-                if math.gcd(math.gcd(x0, x1), math.gcd(x2, x3)) != 1:
-                    continue
-                yield RationalPoint(x0, x1, x2, x3)
+        x3s = np.arange(-(B // step) * step, B + 1, step, dtype=np.int64)
+        for start in range(0, x3s.size, rows):
+            x3 = x3s[start : start + rows]
+            x1, r = np.divmod(-(x2x0sq + (x3 * x3 * x3)[:, None]), x2 * x2)
+            i, j = np.nonzero((r == 0) & (np.abs(x1) <= B))  # row-major: x3, then x0
+            a0, a1, a3 = x0[j], x1[i, j], x3[i]
+            keep = np.gcd(np.gcd(a0, a1), np.gcd(a3, x2)) == 1
+            for c0, c1, c3 in zip(a0[keep].tolist(), a1[keep].tolist(), a3[keep].tolist()):
+                yield RationalPoint(c0, c1, x2, c3)
 
 
 def brute_count(B: int) -> CountReport:

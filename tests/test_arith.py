@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e6cubic import arith, counting
@@ -217,6 +217,7 @@ class TestSawtooth:
     @given(st.fractions(max_denominator=500))
     @settings(max_examples=200, deadline=None)
     def test_tilde_shifts_only_integers(self, t):
+        assert arith.psi_frac(t) == t - math.floor(t) - Fraction(1, 2)
         shift = arith.psi_tilde(t) - arith.psi_frac(t)
         assert shift == (1 if t.denominator == 1 else 0)
 
@@ -261,6 +262,24 @@ class TestCongruenceInterval:
         assert res.exact_count == brute
         if math.gcd(a, q) == 1:
             assert Fraction(res.exact_count) == res.main_term + res.remainder
+
+    @given(
+        st.integers(min_value=-500, max_value=500),
+        st.integers(min_value=1, max_value=400),
+        st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=40)),
+        st.one_of(st.integers(0, 10), st.fractions(min_value=0, max_value=10, max_denominator=40)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_decomposition_equals_its_definition(self, a, q, k1, k):
+        # b1 = a + q*k1 and b2 = b1 + q*k: an integer k1 or k1 + k puts that
+        # endpoint on the class, where psi_tilde jumps
+        assume(math.gcd(a, q) == 1)
+        b1 = a + q * Fraction(k1)
+        b2 = b1 + q * Fraction(k)
+        res = arith.count_congruence_interval(b1, b2, a, q)
+        assert type(res.main_term) is Fraction and type(res.remainder) is Fraction
+        assert res.main_term == (b2 - b1) / q
+        assert res.remainder == arith.psi_tilde((b1 - a) / q) - arith.psi_frac((b2 - a) / q)
 
 
 def test_square_sum_cancellation_diagnostic():

@@ -24,6 +24,12 @@ class TestCount:
         assert {r[2] for r in rows} == {"torsor", "fast", "brute"}
         assert all(r[1] == "7" for r in rows)
 
+    def test_brute_beyond_int64_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--B", "2000000", "--method", "brute")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure: height bound B = 2000000 ")
+
     def test_zero_bound_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "--B", "0"])

@@ -102,6 +102,25 @@ class TestClassCount:
         with pytest.raises(OverflowError, match=f"B = {B}"):
             next(counting._tau1_visits(B, 1, 1, 1, 1, B, B))
 
+    def test_frames_refuse_heights_beyond_int64(self):
+        B = 2**63
+        with pytest.raises(OverflowError, match=f"B = {B} "):
+            next(counting._frames(B, torsor.T1_SCHEME))
+
+    @SCHEMES
+    def test_frames_match_monomials(self, scheme, top, monkeypatch):
+        # torsor.monomial is the scalar definition; chunks of 7 xi tuples
+        # put many tuples at a chunk's end
+        monkeypatch.setattr(counting, "_FRAME_CHUNK", 7)
+        _, _, partners = counting._scheme_tables(scheme)
+        exps = (torsor.LAMBDA, torsor.X0_EXPONENTS, torsor.X3_EXPONENTS,
+                torsor.FL_EXPONENTS, torsor.F1_EXPONENTS, *partners)
+        frames = list(counting._frames(top, scheme))
+        assert [xi for xi, *_ in frames] == list(counting._xi_tuples(top, scheme))
+        for xi, *monos, t1max, t2max in frames:
+            want = [torsor.monomial(xi, e) for e in exps]
+            assert (monos, t1max, t2max) == (want, top // want[2], top // want[1]), xi
+
     @SCHEMES
     def test_matches_class_walk_per_visit(self, scheme, top):
         for B in (b for b in self.HEIGHTS if b <= top):

@@ -20,8 +20,8 @@ B1_POINTS = {
 
 
 def oracle_points(B):
-    """Direct triple loop, no divisibility shortcuts."""
-    pts = set()
+    """Direct triple loop, no divisibility shortcuts, in the scan's order."""
+    pts = []
     for x2 in range(1, B + 1):
         for x3 in range(-B, B + 1):
             for x0 in range(-B, B + 1):
@@ -33,7 +33,7 @@ def oracle_points(B):
                     continue
                 if math.gcd(math.gcd(x0, x1), math.gcd(x2, x3)) != 1:
                     continue
-                pts.add((x0, x1, x2, x3))
+                pts.append((x0, x1, x2, x3))
     return pts
 
 
@@ -99,7 +99,24 @@ class TestBruteCount:
 
     def test_matches_inline_oracle(self):
         for B in (2, 5, 9, 12):
-            assert {p.coords() for p in surface.brute_points(B)} == oracle_points(B)
+            assert [p.coords() for p in surface.brute_points(B)] == oracle_points(B)
+
+    def test_scan_does_not_depend_on_blocks(self, monkeypatch):
+        scans = {}
+        for cells in (1, 2**62):  # one x3 row per block; every row in one block
+            monkeypatch.setattr(surface, "_BLOCK_CELLS", cells)
+            scans[cells] = {B: list(surface.brute_points(B)) for B in (0, 1, 2, 5, 12, 40)}
+        assert scans[1] == scans[2**62]
+        for B, points in scans[1].items():
+            if B <= 12:
+                assert [p.coords() for p in points] == oracle_points(B)
+
+    def test_refuses_heights_beyond_int64(self, monkeypatch):
+        # 2*B^3 >= 2^63 from B = 1664511 on; no array is made before the check
+        monkeypatch.setattr(surface, "np", None)
+        for B in (1_664_511, 2_000_000):
+            with pytest.raises(OverflowError, match=f"B = {B} "):
+                next(surface.brute_points(B))
 
     def test_frozen_table(self):
         assert surface.brute_counts_upto(20) == FROZEN_COUNTS
