@@ -379,27 +379,21 @@ def local_factor_closed(p: int, s: float) -> float:
         raise ValueError("the local factor series diverges for s <= -1/6")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return float(_local_factor(p, _powers(float(p), s)))
+    y, z = 1.0 / p, float(p) ** -s
+    x = [y * z**lam for lam in LAMBDA]
+    return float(_cleared_factor(y, x) / ((1 - x[0]) * (1 - x[3]) * (1 - x[6])))
 
 
-def _powers(p, s):
-    # the seven x_i = p^-(1 + lambda_i s) = z^lambda_i / p from one exponential
-    # z = p^-s; float p and s broadcast as numpy arrays, and s may be complex
-    z = [1.0, np.exp(-s * np.log(p))]
-    for _ in range(max(LAMBDA) - 1):
-        z.append(z[-1] * z[1])
-    return [z[lam] / p for lam in LAMBDA]
-
-
-def _local_factor(p, x):
-    # F_p(s) = sum over e of vartheta(p^e) * prod_i x_i^e_i, summed in closed
-    # form from the x_i of _powers.  The x6 term goes first, so that no
-    # partial sum is held beside its temporaries: one array fewer at the peak
+def _cleared_factor(y, x):
+    # F_p(s) = sum over e of vartheta(p^e) * prod_i x_i^e_i, with y = 1/p and
+    # x_i = p^-(1 + lambda_i s), summed in closed form and multiplied by
+    # (1 - x1)(1 - xl)(1 - x6).  It uses only +, - and *, so it evaluates on
+    # floats, on Fractions and on the polynomials of _cleared_table alike
     x1, x2, x3, xl, x4, x5, x6 = x
-    pm = 1.0 - 1.0 / p
+    pm, u1, ul, u6 = 1 - y, 1 - x1, 1 - xl, 1 - x6
     return (
-        pm / (1 - x6) * (x2 + pm * (x3 + x6) / (1 - x1) + pm * (x4 + x5 + xl * x6) / (1 - xl))
-        + 1.0 + pm * (x1 / (1 - x1) + xl / (1 - xl))
+        pm * (x2 * u1 * ul + pm * ((x3 + x6) * ul + (x4 + x5 + xl * x6) * u1))
+        + u1 * ul * u6 + pm * u6 * (x1 * ul + xl * u1)
     )
 
 
@@ -468,12 +462,30 @@ def peyre_constant(P: int = 10**5, quad_tol: float = 1e-9) -> PeyreConstant:
 
 # --- the main term ------------------------------------------------------------
 
-# Cauchy circle for the Taylor coefficients of the Euler product G; the full
-# product converges for |w| < 1/12, and the circle stays well inside.  The
-# node count is even, so nodes 0..m/2 are the closed upper half circle
-_CAUCHY_RADIUS = 0.05
-_CAUCHY_NODES = 64
-assert _CAUCHY_NODES % 2 == 0
+def _cleared_table():
+    """Integer coefficients a[j, k] of y^j z^k in H_p = F_p * prod_i (1 - x_i),
+    with y = 1/p, z = p^-s and x_i = y * z^lambda_i.
+
+    _cleared_factor runs on polynomials in one variable t, with z = t and
+    y = t^K: the coefficient of y^j z^k lands at t^(jK + k), without overlap
+    because no monomial has a z-degree above sum(LAMBDA) < K.  The float
+    coefficients are exact integers.
+    """
+    K = sum(LAMBDA) + 1
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    y = t**K
+    x = [y * t**lam for lam in LAMBDA]
+    # times the four factors 1 - x_i that _cleared_factor has not cleared
+    h = _cleared_factor(y, x) * (1 - x[1]) * (1 - x[2]) * (1 - x[4]) * (1 - x[5])
+    coef = np.zeros(-(-len(h.coef) // K) * K)
+    coef[: len(h.coef)] = h.coef
+    return np.rint(coef).astype(np.int64).reshape(-1, K)
+
+
+# row j, column k: the coefficient of y^j z^k in H_p; row 0 is the constant 1
+# and row 1 is zero, so H_p = 1 + O(1/p^2)
+_H_TABLE = _cleared_table()
+_PRIME_CHUNK = 2**13
 
 
 def _series_mul(a, b):
@@ -495,26 +507,44 @@ def _archimedean_moments(order):
 
 
 def _euler_taylor(P, order):
-    """Taylor coefficients of G(w) = prod_{p <= P} F_p(w) prod_i
-    (1 - p^(-1 - lambda_i w)) up to w^order, by a Cauchy integral.
+    """Taylor coefficients of G(w) = prod_{p <= P} H_p(w), with
+    H_p(w) = F_p(w) prod_i (1 - p^(-1 - lambda_i w)), up to w^order.
 
-    G has real coefficients, so G(conj w) = conj G(w), and the nodes on the
-    upper half circle determine the integral.  The truncation at P has no
-    error bound yet: the w^n coefficient carries sum_{p > P} (log p)^n / p^2.
+    In y = 1/p and z = p^-w, H_p = sum_jk a_jk y^j z^k (_H_TABLE), and
+    z^k = e^(-k L w) with L = log p.  So the w^n coefficient of H_p - 1 is
+    (-L)^n / n! * sum_{j >= 2} y^j b_jn, with the exact integers
+    b_jn = sum_k a_jk k^n.  The power series of log H_p is summed over the
+    primes in real arithmetic, and exponentiated once.  The truncation at P
+    has no error bound yet: the w^n coefficient carries
+    sum_{p > P} (log p)^n / p^2.
     """
-    m, r = _CAUCHY_NODES, _CAUCHY_RADIUS
-    w = r * np.exp(2j * np.pi * np.arange(m // 2 + 1) / m)
-    values = np.ones(m // 2 + 1, dtype=complex)
+    # b[n, j - 2] = sum_k a_jk k^n, exact in float while below 2^53
+    k = np.arange(_H_TABLE.shape[1], dtype=float)
+    b = k ** np.arange(order + 1.0)[:, None] @ _H_TABLE[2:].T.astype(float)
+    log_g = np.zeros(order + 1)
     primes = _primes_upto(P).astype(float)
-    for start in range(0, len(primes), 4096):
-        p = primes[start : start + 4096, None]
-        x = _powers(p, w)
-        f = _local_factor(p, x)
-        for xi in x:
-            f *= 1.0 - xi
-        values *= f.prod(axis=0)
-    coeffs = np.fft.hfft(values, m) / m
-    return [float(coeffs[j]) / r**j for j in range(order + 1)]
+    for start in range(0, len(primes), _PRIME_CHUNK):
+        p = primes[start : start + _PRIME_CHUNK]
+        u = b @ p ** -np.arange(2.0, 2 + b.shape[1])[:, None]
+        scale, minus_log_p = np.ones_like(p), -np.log(p)
+        for m in range(1, order + 1):
+            scale *= minus_log_p / m
+            u[m] *= scale
+        # log(1 + u) as a power series in w, one column per prime
+        log_h = np.empty_like(u)
+        log_h[0] = np.log1p(u[0])
+        inv = 1.0 / (1.0 + u[0])
+        for m in range(1, order + 1):
+            acc = m * u[m]
+            for j in range(1, m):
+                acc -= j * log_h[j] * u[m - j]
+            log_h[m] = acc * inv / m
+        log_g += log_h.sum(axis=1)
+    log_g = log_g.tolist()
+    g = [math.exp(log_g[0])]
+    for m in range(1, order + 1):
+        g.append(sum(j * log_g[j] * g[m - j] for j in range(1, m + 1)) / m)
+    return g
 
 
 def _zeta_taylor(order):
@@ -545,9 +575,10 @@ def main_term_coefficients(P: int = 10**5) -> tuple:
     w = 0 leaves  P(L) = Res_{w=0} K(w) G(w) prod_i zeta(1 + lambda_i w) e^(wL).
 
     The leading coefficient is K(0) G(0) / (6! prod lambda_i), that is
-    omega_inf * omega_0 * alpha = c.  The Euler product is truncated at the
-    primes p <= P, as in omega0(P).  That truncation has no error bound yet:
-    the w^n coefficient of G carries sum_{p > P} (log p)^n / p^2.
+    omega_inf * omega_0 * alpha = c.  G's Taylor coefficients come from the
+    power series of log H_p, summed over the primes p <= P (_euler_taylor),
+    as omega0(P) truncates its product.  That truncation has no error bound
+    yet: the w^n coefficient of G carries sum_{p > P} (log p)^n / p^2.
     """
     if P < 10**3:
         raise ValueError("truncation prime must be at least 1000")

@@ -123,6 +123,14 @@ class TestConstant:
         assert payload["omegaInf"]["error"] <= 1e-6
         assert payload["c"] > 0
 
+    def test_key_set(self, capsys):
+        code, out, _ = run_cli(capsys, "constant", "--trunc-prime", "2000")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"alpha", "beta", "omega0", "omegaInf", "c", "c_error"}
+        assert set(payload["omega0"]) == {"value", "truncation_prime", "tail_bound"}
+        assert set(payload["omegaInf"]) == {"value", "error"}
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "constant", "--trunc-prime", "2000")
         _, second, _ = run_cli(capsys, "constant", "--trunc-prime", "2000")

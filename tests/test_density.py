@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -237,35 +238,118 @@ class TestLocalFactor:
             assert type(density.local_factor_closed(p, s)) is float
 
 
+class TestClearedTable:
+    """_H_TABLE holds H_p = F_p * prod_i (1 - x_i) as integer coefficients of
+    y^j z^k, with y = 1/p and x_i = y * z^lambda_i.  The oracle sums F_p
+    exactly from vartheta, as local_factor_sum does but with every geometric
+    series summed to infinity, in Fractions."""
+
+    # the y^2 row of H_p: -sum_mu c_mu y^2 z^mu
+    C = {2: 1, 3: 2, 4: 4, 5: 4, 6: 5, 7: 4, 8: 4, 9: 2, 10: 1}
+    PRIMES = [p for p in range(2, 50) if arith.is_prime(p)]
+
+    @staticmethod
+    def table(y, z):
+        return sum(
+            int(a) * y**j * z**k for (j, k), a in np.ndenumerate(density._H_TABLE) if a
+        )
+
+    @staticmethod
+    def vartheta_terms(p):
+        # (weight, support, summed): summed[i] when x_i^e has the same weight
+        # for every e >= 1, so that coordinate contributes x_i / (1 - x_i)
+        terms = []
+        for mask in range(128):
+            support = [(mask >> i) & 1 for i in range(7)]
+            weight = density.vartheta(tuple(p**e for e in support))
+            if weight == 0:
+                continue
+            summed = []
+            for i, e in enumerate(support):
+                probe = tuple(p ** (2 if j == i else f) for j, f in enumerate(support))
+                summed.append(bool(e) and density.vartheta(probe) != 0)
+            terms.append((weight, support, summed))
+        return terms
+
+    @staticmethod
+    def oracle(p, z, terms):
+        x = [Fraction(z) ** lam / p for lam in density.LAMBDA]
+        f = 0
+        for weight, support, summed in terms:
+            term = weight
+            for xi, e, s in zip(x, support, summed):
+                if e:
+                    term *= xi / (1 - xi) if s else xi
+            f += term
+        return f * math.prod(1 - xi for xi in x)
+
+    def test_value_at_w_zero_is_omega_p(self):
+        for p in self.PRIMES:
+            assert self.table(Fraction(1, p), 1) == density.omega_p(p), p
+
+    def test_matches_vartheta_sum_on_a_grid(self):
+        # H_p has degree <= 9 in y and <= 27 in z, so equality on 15 values
+        # of y times 28 values of z pins every coefficient
+        assert density._H_TABLE.shape == (10, 28)
+        for p in self.PRIMES:
+            terms = self.vartheta_terms(p)
+            for d in range(2, 30):
+                z = Fraction(1, d)
+                assert self.table(Fraction(1, p), z) == self.oracle(p, z, terms), (p, d)
+
+    def test_closed_form_at_rational_points(self):
+        for y, z in ((Fraction(3, 7), Fraction(5, 11)), (Fraction(2, 3), Fraction(9, 4)),
+                     (Fraction(1, 10), Fraction(1, 3))):
+            x = [y * z**lam for lam in density.LAMBDA]
+            x1, _, _, xl, _, _, x6 = x
+            closed = density._cleared_factor(y, x) / ((1 - x1) * (1 - xl) * (1 - x6))
+            assert self.table(y, z) == closed * math.prod(1 - xi for xi in x)
+
+    def test_low_rows(self):
+        assert density._H_TABLE.dtype == np.int64
+        assert density._H_TABLE[0].tolist() == [1] + [0] * 27
+        assert not density._H_TABLE[1].any()
+        row = {k: -int(a) for k, a in enumerate(density._H_TABLE[2]) if a}
+        assert row == self.C
+        assert sum(self.C.values()) == 27  # log omega_p = -27/p^2 + O(p^-3)
+        assert np.count_nonzero(density._H_TABLE) == 68
+
+
 class TestEulerTaylor:
     @staticmethod
-    def nodes():
-        m = density._CAUCHY_NODES
-        return density._CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
+    def cauchy_oracle(P, order, radius="0.02", nodes=32):
+        # G(w) at 30 digits on the nodes of |w| = radius, with F_p in its
+        # division form; the Taylor coefficients by the trapezoid rule
+        with mpmath.workdps(30):
+            r = mpmath.mpf(radius)
+            primes = arith._primes_upto(P).tolist()
+            values = []
+            for k in range(nodes):
+                w = r * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
+                g = mpmath.mpc(1)
+                for p in primes:
+                    z = mpmath.exp(-w * mpmath.log(p))
+                    x = [z**lam / p for lam in density.LAMBDA]
+                    x1, x2, x3, xl, x4, x5, x6 = x
+                    pm = 1 - mpmath.mpf(1) / p
+                    f = (
+                        pm / (1 - x6) * (x2 + pm * (x3 + x6) / (1 - x1)
+                                         + pm * (x4 + x5 + xl * x6) / (1 - xl))
+                        + 1 + pm * (x1 / (1 - x1) + xl / (1 - xl))
+                    )
+                    for xi in x:
+                        f *= 1 - xi
+                    g *= f
+                values.append((w, g))
+            return [
+                float(mpmath.re(sum(g * w**-n for w, g in values)) / nodes)
+                for n in range(order + 1)
+            ]
 
-    def test_powers_match_direct_powers(self):
-        primes = arith._primes_upto(1_005_000)
-        p = np.concatenate([primes[:200], primes[200::499], primes[-1:]])
-        p = p.astype(float)[:, None]
-        w = self.nodes()
-        for lam, x in zip(density.LAMBDA, density._powers(p, w)):
-            direct = p ** -(1.0 + lam * w)
-            assert np.max(np.abs(x / direct - 1.0)) <= 1e-13, lam
-
-    def test_half_circle_matches_full_circle(self):
-        # oracle: every node of the circle, the x_i as direct powers, and the
-        # complex FFT
-        P, order, m = 10**4, 6, density._CAUCHY_NODES
-        w = self.nodes()
-        p = arith._primes_upto(P).astype(float)[:, None]
-        x = [p ** -(1.0 + lam * w) for lam in density.LAMBDA]
-        f = density._local_factor(p, x)
-        for xi in x:
-            f = f * (1.0 - xi)
-        full = np.fft.fft(f.prod(axis=0)).real / m
-        expected = [full[j] / density._CAUCHY_RADIUS**j for j in range(order + 1)]
-        got = density._euler_taylor(P, order)
-        assert got == pytest.approx(expected, rel=1e-12)
+    def test_matches_a_30_digit_cauchy_integral(self):
+        got = density._euler_taylor(1000, 6)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(self.cauchy_oracle(1000, 6), rel=1e-12, abs=0)
 
     def test_constant_coefficient_is_omega0(self):
         # G(0) = prod_{p <= P} F_p(0) (1 - 1/p)^7 = omega0(P)
@@ -299,6 +383,9 @@ class TestMainTerm:
         # same Euler truncation on both sides: only quadrature error remains
         pc = density.peyre_constant(P=10**5)
         assert math.isclose(poly[6], pc.c, rel_tol=1e-12)
+
+    def test_coefficients_are_builtin_floats(self, poly):
+        assert all(type(v) is float for v in poly)
 
     def test_stable_under_prime_cutoff(self, poly):
         finer = density.main_term_coefficients(P=10**6)
