@@ -11,10 +11,9 @@ the torsor coordinates, so the whole counter runs on integer arithmetic:
 Three inner strategies share the same xi/tau1 nest, and the class count
 serves a fourth use:
 
-- the tau2 scan tries every tau2 with |tau2| <= B/x0_unit; it is the plain
-  oracle, reached through ``count_torsor`` for the count and through
-  ``_solutions(B, scheme, False)`` for the points, with no public knob.
-- the class walk (``enumerate_points``, ``enumerate_torsor_points``,
+- the tau2 scan (``_scan``) tries every tau2 with |tau2| <= B/x0_unit; it
+  is the plain oracle, reached through ``count_torsor`` for the count.
+- the class walk (``_walk``: ``enumerate_points``, ``enumerate_torsor_points``,
   ``counts_upto`` and ``verify``) steps only through the admissible
   residues, the roots of tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo
   fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
@@ -341,36 +340,41 @@ def _prime_square_roots(p, a):
     return out
 
 
-def _solutions(B, scheme, fast, xis=None):
+def _walk(B, scheme):
     """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions."""
+    gcd = math.gcd
+    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme):
+        xi2 = xi[1]
+        for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
+            ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
+            for r in roots:
+                for a_lo, a_hi in ivs:
+                    start = a_lo + ((r - a_lo) % fl)
+                    for t2 in range(start, a_hi + 1, fl):
+                        tl = -((t2 * t2 * xi2 + A) // fl)
+                        if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
+                            yield (xi, t1, t2, tl, x2, m0, m3)
+
+
+def _scan(B, scheme, xis=None):
+    """_walk's solutions, of the xi tuples xis if given, by the tau2 scan."""
     gcd = math.gcd
     for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
         xi2 = xi[1]
-        if fast:
-            for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-                ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
-                for r in roots:
-                    for a_lo, a_hi in ivs:
-                        start = a_lo + ((r - a_lo) % fl)
-                        for t2 in range(start, a_hi + 1, fl):
-                            tl = -((t2 * t2 * xi2 + A) // fl)
-                            if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
-                                yield (xi, t1, t2, tl, x2, m0, m3)
-        else:
-            for t1 in range(-t1max, t1max + 1):
-                if gcd(t1, c1) != 1:
+        for t1 in range(-t1max, t1max + 1):
+            if gcd(t1, c1) != 1:
+                continue
+            A = t1 * t1 * t1 * f1
+            for t2 in range(-t2max, t2max + 1):
+                num = t2 * t2 * xi2 + A
+                tl, rem = divmod(num, fl)
+                if rem:
                     continue
-                A = t1 * t1 * t1 * f1
-                for t2 in range(-t2max, t2max + 1):
-                    num = t2 * t2 * xi2 + A
-                    tl, rem = divmod(num, fl)
-                    if rem:
-                        continue
-                    tl = -tl
-                    if tl < -B or tl > B:
-                        continue
-                    if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
-                        yield (xi, t1, t2, tl, x2, m0, m3)
+                tl = -tl
+                if tl < -B or tl > B:
+                    continue
+                if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
+                    yield (xi, t1, t2, tl, x2, m0, m3)
 
 
 def _avoiding_counts(k_lo, k_hi, grp, primes, bad):
@@ -610,7 +614,7 @@ def _count_part(args):
     xis = islice(_xi_tuples(B, scheme), part, None, parts)
     if fast:
         return int(sum(ns.sum() for _, _, ns in _grid_class_counts((B,), scheme, xis)))
-    return sum(1 for _ in _solutions(B, scheme, False, xis))
+    return sum(1 for _ in _scan(B, scheme, xis))
 
 
 def _grid_part(args):
@@ -683,13 +687,13 @@ def count_torsor_grid(
 
 def enumerate_torsor_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[TorsorPoint]:
     """All torsor points meeting the scheme and height conditions at B."""
-    for xi, t1, t2, tl, _, _, _ in _solutions(B, scheme, True):
+    for xi, t1, t2, tl, _, _, _ in _walk(B, scheme):
         yield TorsorPoint(*xi, t1, t2, tl)
 
 
 def enumerate_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[RationalPoint]:
     """Surface points of height <= B as psi-images, each exactly once."""
-    for _, t1, t2, tl, x2, m0, m3 in _solutions(B, scheme, True):
+    for _, t1, t2, tl, x2, m0, m3 in _walk(B, scheme):
         yield RationalPoint(m0 * t2, tl, x2, m3 * t1)
 
 
@@ -697,6 +701,6 @@ def counts_upto(Bmax: int, scheme: CoprimalityScheme = T1_SCHEME) -> list[int]:
     """N(B) for every B in [0, Bmax] from a single enumeration at Bmax."""
     heights = (
         max(x2, m0 * abs(t2), m3 * abs(t1), abs(tl))
-        for _, t1, t2, tl, x2, m0, m3 in _solutions(Bmax, scheme, True)
+        for _, t1, t2, tl, x2, m0, m3 in _walk(Bmax, scheme)
     )
     return _cumulative_counts(heights, Bmax)

@@ -15,9 +15,9 @@ explicit tail and quadrature error estimates.  A closed form of the height
 zeta function's local factor is cross-checked against a direct truncated sum
 weighted by the arithmetic function vartheta.
 
-The same pieces give the whole main term of the proof, not just its leading
-coefficient: main_term_coefficients returns the degree-6 polynomial P with
-N(B) ~ B * P(log B), whose top coefficient is c.
+The same pieces give the proof's whole main term: main_term_coefficients
+returns the degree-6 polynomial P with N(B) ~ B * P(log B), whose top
+coefficient is c; omega_0 is the constant term of P's Euler product.
 """
 
 import math
@@ -80,9 +80,10 @@ def quad(func, a, b, points=(), **kwargs):
             error += e
     return value, error
 
-# |log omega_p| <= _OMEGA_LOG_DECAY / p^2 for every prime (the expansion of
-# log omega_p is -27/p^2 + 105/p^3 - ..., and the small primes sit below the
-# asymptote); this constant drives the reported Euler product tail bound.
+# 0 < -log omega_p <= 27/p^2: in y = 1/p <= 1/2, over (1 - y)(1 + 7y + y^2) > 0,
+# the derivative of log omega_p = 7 log(1 - y) + log(1 + 7y + y^2) has numerator
+# -54y - 9y^2 < 0, that of 27y^2 + log omega_p has y^2 (315 - 324y - 54y^2) > 0,
+# and both vanish at y = 0; with sum_{p > P} 1/p^2 < 1/P this bounds omega0's tail.
 _OMEGA_LOG_DECAY = 27.0
 
 
@@ -145,20 +146,13 @@ class EulerProduct:
 
 
 def omega0(P: int = 10**5) -> EulerProduct:
-    """Product of omega_p over p <= P, in ascending order of p.
-
-    Each factor is the int/int true division of omega_p's numerator by its
-    denominator, which Python rounds correctly: the same float as
-    ``float(omega_p(p))``, without a Fraction per prime.
-
-    The tail satisfies |log prod_{p > P} omega_p| <= 27 * sum_{p > P} 1/p^2
-    <= 27/P, so the true value lies in [value * exp(-27/P), value].
+    """Product of omega_p = H_p(0) over p <= P, the constant term G(0) of
+    _euler_taylor: c and the main term read one product.  The true value
+    lies in [value * exp(-27/P), value] (_OMEGA_LOG_DECAY).
     """
     if P < 100:
         raise ValueError("truncation prime must be at least 100")
-    value = 1.0
-    for p in _primes_upto(P).tolist():
-        value *= ((p - 1) ** 7 * (p * p + 7 * p + 1)) / p**9
+    value = _euler_taylor(P, 0)[0]
     tail = value * (1.0 - math.exp(-_OMEGA_LOG_DECAY / P))
     return EulerProduct(value, int(P), tail)
 
@@ -514,9 +508,9 @@ def _euler_taylor(P, order):
     z^k = e^(-k L w) with L = log p.  So the w^n coefficient of H_p - 1 is
     (-L)^n / n! * sum_{j >= 2} y^j b_jn, with the exact integers
     b_jn = sum_k a_jk k^n.  The power series of log H_p is summed over the
-    primes in real arithmetic, and exponentiated once.  The truncation at P
-    has no error bound yet: the w^n coefficient carries
-    sum_{p > P} (log p)^n / p^2.
+    primes in real arithmetic, and exponentiated once.  The w^0 coefficient
+    is omega0(P), whose tail is bounded; above it the truncation at P has no
+    error bound yet: the w^n coefficient carries sum_{p > P} (log p)^n / p^2.
     """
     # b[n, j - 2] = sum_k a_jk k^n, exact in float while below 2^53
     k = np.arange(_H_TABLE.shape[1], dtype=float)
@@ -576,9 +570,9 @@ def main_term_coefficients(P: int = 10**5) -> tuple:
 
     The leading coefficient is K(0) G(0) / (6! prod lambda_i), that is
     omega_inf * omega_0 * alpha = c.  G's Taylor coefficients come from the
-    power series of log H_p, summed over the primes p <= P (_euler_taylor),
-    as omega0(P) truncates its product.  That truncation has no error bound
-    yet: the w^n coefficient of G carries sum_{p > P} (log p)^n / p^2.
+    power series of log H_p, summed over the primes p <= P (_euler_taylor);
+    G(0) is omega0(P).  For n >= 1 the truncation has no error bound yet:
+    the w^n coefficient of G carries sum_{p > P} (log p)^n / p^2.
     """
     if P < 10**3:
         raise ValueError("truncation prime must be at least 1000")

@@ -38,7 +38,7 @@ def test_criterion_01_oracle_equivalence():
     # hence the same counts at every B <= 500
     scan = sorted(
         xi + (t1, t2, tl)
-        for xi, t1, t2, tl, *_ in counting._solutions(500, torsor.T1_SCHEME, False)
+        for xi, t1, t2, tl, *_ in counting._scan(500, torsor.T1_SCHEME)
     )
     walk = sorted(t.coords() for t in counting.enumerate_torsor_points(500))
     agree = agree and scan == walk

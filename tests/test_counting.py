@@ -11,7 +11,7 @@ from e6cubic.counting import _count_part
 
 def scanned(B, scheme=torsor.T1_SCHEME):
     """The torsor solutions of the tau2 scan, the counter's plain oracle."""
-    return counting._solutions(B, scheme, False)
+    return counting._scan(B, scheme)
 
 
 class TestOracleEquivalence:
@@ -125,7 +125,7 @@ class TestClassCount:
     def test_matches_class_walk_per_visit(self, scheme, top):
         for B in (b for b in self.HEIGHTS if b <= top):
             walked = collections.Counter(
-                (xi, t1) for xi, t1, *_ in counting._solutions(B, scheme, True)
+                (xi, t1) for xi, t1, *_ in counting._walk(B, scheme)
             )
             counted = {}
             for xi, t1s, ns in counting._grid_class_counts((B,), scheme):

@@ -48,6 +48,33 @@ class TestEulerProduct:
         with pytest.raises(ValueError):
             density.omega_p(10)
 
+    def test_log_decay_constant_is_proven(self):
+        # _OMEGA_LOG_DECAY's proof: in y = 1/p, omega_p = (1 - y)^7 (1 + 7y + y^2)
+        # and, times D = (1 - y)(1 + 7y + y^2), the derivatives of log omega_p
+        # and of 27y^2 + log omega_p are -54y - 9y^2 and y^2 (315 - 324y - 54y^2)
+        for p in (2, 3, 5, 7, 101):
+            y = Fraction(1, p)
+            assert density.omega_p(p) == (1 - y) ** 7 * (1 + 7 * y + y * y)
+
+        def dlog(y):  # the derivative of log omega_p in y
+            return -7 / (1 - y) + (7 + 2 * y) / (1 + 7 * y + y * y)
+
+        log_omega = lambda t: 7 * mpmath.log(1 - t) + mpmath.log(1 + 7 * t + t * t)
+        with mpmath.workdps(30):
+            for y in (0.1, 0.25, 0.5):
+                assert mpmath.almosteq(mpmath.diff(log_omega, y), dlog(mpmath.mpf(y)), 1e-20)
+        # D times either derivative is a polynomial of degree <= 4, so six
+        # points fix it
+        for k in range(6):
+            y = Fraction(k, 10)
+            d = (1 - y) * (1 + 7 * y + y * y)
+            assert d * dlog(y) == -54 * y - 9 * y * y
+            assert d * (54 * y + dlog(y)) == y * y * (315 - 324 * y - 54 * y * y)
+        # D > 0, and 315 - 324y - 54y^2 falls on y >= 0 to 139.5 at y = 1/2: on
+        # (0, 1/2] log omega_p falls from 0 and 27y^2 + log omega_p rises from 0
+        assert 315 - 324 * Fraction(1, 2) - 54 * Fraction(1, 4) == Fraction(279, 2)
+        assert density._OMEGA_LOG_DECAY == 27
+
     def test_log_decay_constant_fits(self):
         # |log omega_p| <= 27/p^2, approached from below as p grows
         worst = 0.0
@@ -67,12 +94,14 @@ class TestEulerProduct:
             density.omega0(50)
 
     @pytest.mark.parametrize("P", [2000, 10**4])
-    def test_product_of_exact_factors_bit_for_bit(self, P):
+    def test_matches_product_of_exact_factors(self, P):
+        # omega0 is G(0) of the log series; the ascending product of the
+        # exact factors, each rounded once, is an independent evaluation
         expected = 1.0
         for p in range(2, P + 1):
             if arith.is_prime(p):
                 expected *= float(density.omega_p(p))
-        assert density.omega0(P).value == expected
+        assert density.omega0(P).value == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 class TestArchimedean:
@@ -380,9 +409,10 @@ class TestMainTerm:
         return B * np.polynomial.polynomial.polyval(math.log(B), poly)
 
     def test_leading_coefficient_is_peyre_constant(self, poly):
-        # same Euler truncation on both sides: only quadrature error remains
+        # G(0) from the same log series as omega0, and K(0) = omega_inf's g2
+        # form, on both sides: only rounding remains
         pc = density.peyre_constant(P=10**5)
-        assert math.isclose(poly[6], pc.c, rel_tol=1e-12)
+        assert math.isclose(poly[6], pc.c, rel_tol=1e-13)
 
     def test_coefficients_are_builtin_floats(self, poly):
         assert all(type(v) is float for v in poly)
