@@ -17,10 +17,11 @@ serves a fourth use:
   ``counts_upto`` and ``verify``) steps only through the admissible
   residues, the roots of tau2^2 * xi2 = -tau1^3 * xi1^2 * xi3 modulo
   fl = xiL^3 * xi4^2 * xi5, testing the two gcd conditions on each; it is
-  the oracle for the count.  The walk and the class count take their
-  (xi, tau1) visits from ``_visit_arrays``, int64 arrays over tau1 that
-  read every visit's roots off one sorted table of the squares modulo each
-  fl (``_root_slices``); the walk asks for one xi tuple at a time.
+  the oracle for the count.  The walk and the class count read the same
+  chunks of (xi, tau1) visits (``_visit_chunks``): consecutive xi tuples
+  with at most _BATCH tau1 values in all, their visits int64 arrays over
+  tau1 that read every visit's roots off one sorted table of the squares
+  modulo each fl of the chunk (``_root_slices``).
 - the class count (``count_torsor_fast``) counts each root class in its
   tau2 window without visiting its points (``_class_counts``): writing
   tau2 = r + fl*k, the k with p | tau2 or p | tauL are at most three
@@ -30,11 +31,10 @@ serves a fourth use:
   only through tau2^2 and gcd(tau2, c2), and the roots r are closed under
   negation, so the count takes tau2 >= 0 only and doubles it, less tau2 = 0
   once.  The class walk keeps both signs of tau2, as the count's independent
-  oracle.  The count takes consecutive xi tuples together: the visits of
-  a chunk of at most _BATCH tau1 values share one table of squares per fl,
-  and a batch of at most _BATCH classes times heights is one array pass,
-  slot i holding each tuple's i-th prime, with one table of square roots or
-  of inverses per prime.  A larger xi tuple is a chunk or a batch alone.
+  oracle.  The count takes the xi tuples of a chunk together: a batch of
+  at most _BATCH classes times heights is one array pass, slot i holding
+  each tuple's i-th prime, with one table of square roots or of inverses
+  per prime.  A larger xi tuple is a chunk or a batch alone.
 - the grid count (``count_torsor_grid``) is the class count at the largest
   height of a grid, which counts every smaller height in the same pass: a
   (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
@@ -62,7 +62,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import factorize
+from .arith import _primes_upto, factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
@@ -92,10 +92,8 @@ _LOOP_ORDER = (6, 5, 4, 3, 2, 1, 0)  # indices into XI_NAMES / LAMBDA
 
 def _squarefree_table(limit):
     flags = bytearray([1]) * (limit + 1)
-    d = 2
-    while d * d <= limit:
-        flags[d * d :: d * d] = bytearray(len(range(d * d, limit + 1, d * d)))
-        d += 1
+    for p in _primes_upto(math.isqrt(limit)).tolist():
+        flags[p * p :: p * p] = bytearray(len(range(p * p, limit + 1, p * p)))
     return flags
 
 
@@ -272,16 +270,21 @@ def _visit_arrays(loops):
     return tup, t1, t1 * t1 * t1 * f1[tup], np.concatenate(tables), first[keep], last[keep]
 
 
-def _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-    """Yield (tau1, A, roots, lo, hi) for each visit of one xi tuple
-    (``_visit_arrays``), with its roots as a list and (lo, hi) its tau2
-    window at B."""
-    pos, neg = _tau1_range(B, xi2, fl, f1, t1max, t2max)
-    _, t1, A, roots, first, last = _visit_arrays([(xi2, fl, f1, c1, pos, neg)])
-    lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
-    roots = roots.tolist()
-    for t, a, i, j, l, h in zip(*(x.tolist() for x in (t1, A, first, last, lo, hi))):
-        yield t, a, roots[i:j], l, h
+def _visit_chunks(B, scheme, xis=None):
+    """Yield (frames, visits) for chunks of consecutive xi tuples of xis
+    (default: all) at B: frames as ``_frames`` gives them, and visits =
+    (tup, tau1, A, roots, first, last) as ``_visit_arrays`` gives them, visit
+    v being (xi, tau1[v]) of frames[tup[v]].  A chunk has at most _BATCH
+    tau1 values, or one xi tuple."""
+
+    def loops():
+        for frame in _frames(B, scheme, xis):
+            xi, _, _, _, fl, f1, c1, _, _, t1max, t2max = frame
+            pos, neg = _tau1_range(B, xi[1], fl, f1, t1max, t2max)
+            yield (frame, (xi[1], fl, f1, c1, pos, neg)), pos + neg + 1, 1
+
+    for chunk in _batches(loops()):
+        yield [frame for frame, _ in chunk], _visit_arrays([loop for _, loop in chunk])
 
 
 _SQUARE_CHUNK = 1 << 14  # residues squared at once by _root_slices
@@ -341,19 +344,23 @@ def _prime_square_roots(p, a):
 
 
 def _walk(B, scheme):
-    """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions."""
+    """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions,
+    visit by visit in the order of ``_visit_chunks``."""
     gcd = math.gcd
-    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme):
-        xi2 = xi[1]
-        for t1, A, roots, lo, hi in _tau1_visits(B, xi2, fl, f1, c1, t1max, t2max):
-            ivs = ((-hi, hi),) if lo == 0 else ((-hi, -lo), (lo, hi))
-            for r in roots:
+    for frames, (tup, t1, A, roots, first, last) in _visit_chunks(B, scheme):
+        xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
+        lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
+        roots = roots.tolist()
+        for v, t, a, i, j, l, h in zip(*(x.tolist() for x in (tup, t1, A, first, last, lo, hi))):
+            xi, x2, m0, m3, f, _, _, c2, cl, _, _ = frames[v]
+            ivs = ((-h, h),) if l == 0 else ((-h, -l), (l, h))
+            for r in roots[i:j]:
                 for a_lo, a_hi in ivs:
-                    start = a_lo + ((r - a_lo) % fl)
-                    for t2 in range(start, a_hi + 1, fl):
-                        tl = -((t2 * t2 * xi2 + A) // fl)
+                    start = a_lo + ((r - a_lo) % f)
+                    for t2 in range(start, a_hi + 1, f):
+                        tl = -((t2 * t2 * xi[1] + a) // f)
                         if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
-                            yield (xi, t1, t2, tl, x2, m0, m3)
+                            yield (xi, t, t2, tl, x2, m0, m3)
 
 
 def _scan(B, scheme, xis=None):
@@ -576,29 +583,18 @@ def _grid_class_counts(Bs, scheme, xis=None):
     ns[v, j] is the number of points of the visit (xi, tau1[v]) at the
     height Bs[len(Bs) - ns.shape[1] + j]: the columns are the heights with
     x2 <= Bj, and the xi tuple has no points below them.  The xi tuples come
-    in chunks of at most _BATCH tau1 values, whose visits are found together
-    (``_visit_arrays``), and a chunk's tuples in batches of at most _BATCH
-    classes times heights, each counted in one array pass
+    in the chunks of ``_visit_chunks``, and a chunk's tuples in batches of
+    at most _BATCH classes times heights, each counted in one array pass
     (``_class_counts``) on the heights from its lowest x2 on; a tuple above
-    a cap is a chunk or a batch alone.
+    the cap is a batch alone.
     """
     heights = np.array(Bs, dtype=np.int64)
-    B = Bs[-1]
-
-    def loops():
-        for frame in _frames(B, scheme, xis):
-            xi, _, _, _, fl, f1, c1, _, _, t1max, t2max = frame
-            pos, neg = _tau1_range(B, xi[1], fl, f1, t1max, t2max)
-            yield (frame, (xi[1], fl, f1, c1, pos, neg)), pos + neg + 1, 1
-
-    for chunk in _batches(loops()):
-        frames = [frame for frame, _ in chunk]
-        tup, t1, A, roots, first, last = _visit_arrays([loop for _, loop in chunk])
-        at = np.searchsorted(tup, np.arange(len(chunk) + 1))  # each tuple's first visit
+    for frames, (tup, t1, A, roots, first, last) in _visit_chunks(Bs[-1], scheme, xis):
+        at = np.searchsorted(tup, np.arange(len(frames) + 1))  # each tuple's first visit
         classes = np.diff(np.concatenate(([0], np.cumsum(last - first)))[at]).tolist()
         at = at.tolist()
         low = [bisect_left(Bs, frame[1]) for frame in frames]  # each tuple's lowest height
-        for batch in _batches(zip(range(len(chunk)), classes, (len(Bs) - j for j in low))):
+        for batch in _batches(zip(range(len(frames)), classes, (len(Bs) - j for j in low))):
             a, b = batch[0], batch[-1] + 1
             part, j0 = slice(at[a], at[b]), min(low[a:b])
             visits = (tup[part] - a, t1[part], A[part], roots, first[part], last[part])

@@ -519,7 +519,9 @@ def _euler_taylor(P, order):
     primes = _primes_upto(P).astype(float)
     for start in range(0, len(primes), _PRIME_CHUNK):
         p = primes[start : start + _PRIME_CHUNK]
-        u = b @ p ** -np.arange(2.0, 2 + b.shape[1])[:, None]
+        pw = p ** -np.arange(2.0, 2 + b.shape[1])[:, None]
+        # one product per row, so row 0 rounds alike at every order
+        u = np.array([row @ pw for row in b])
         scale, minus_log_p = np.ones_like(p), -np.log(p)
         for m in range(1, order + 1):
             scale *= minus_log_p / m

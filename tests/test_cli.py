@@ -166,6 +166,18 @@ class TestVerify:
         assert not verify.PropertyResult("empty", checks=0, failures=0).passed
         assert verify.PropertyResult("one", checks=1, failures=0).passed
 
+    @pytest.mark.parametrize(
+        "bad, detail",
+        [((), ""), ((3,), "note 3"), ((1, 3, 5, 7, 9), "note 1; note 3; note 5; note 7")],
+    )
+    def test_tally_counts_checks_and_keeps_four_notes(self, bad, detail):
+        @verify._tally
+        def prop(n):
+            for i in range(n):
+                yield f"note {i}" if i in bad else None
+
+        assert prop(12) == (12, len(bad), detail)
+
     # (property, module, name, fault): the fault replaces module.name and
     # breaks what that property, and no other, checks
     FAULTS = [

@@ -91,16 +91,38 @@ class TestClassCount:
 
     @SCHEMES
     def test_visits_match_scalar_reference(self, scheme, top):
+        # every visit of every xi tuple as the shared chunks give it, with
+        # its tau2 window as the walk forms it
         for B in (b for b in self.HEIGHTS if b <= top):
-            for xi, _, _, _, fl, f1, c1, _, _, t1max, t2max in counting._frames(B, scheme):
-                args = (B, xi[1], fl, f1, c1, t1max, t2max)
-                assert list(counting._tau1_visits(*args)) == list(reference_visits(*args)), (B, xi)
+            tuples = []
+            for frames, (tup, t1, A, roots, first, last) in counting._visit_chunks(B, scheme):
+                xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
+                lo, hi = counting._tau2_windows(B * fl, A, xi2, t2max)
+                got = collections.defaultdict(list)
+                columns = (x.tolist() for x in (tup, t1, A, first, last, lo, hi))
+                for v, t, a, i, j, l, h in zip(*columns):
+                    got[v].append((t, a, roots[i:j].tolist(), l, h))
+                for v, (xi, _, _, _, fl, f1, c1, _, _, t1max, t2max) in enumerate(frames):
+                    args = (B, xi[1], fl, f1, c1, t1max, t2max)
+                    assert got[v] == list(reference_visits(*args)), (B, xi)
+                tuples += [frame[0] for frame in frames]
+            assert tuples == list(counting._xi_tuples(B, scheme)), B
+
+    @SCHEMES
+    def test_walk_visits_in_canonical_order(self, scheme, top):
+        # the xi tuples in _xi_tuples order, each in one run of visits, and
+        # within a tuple tau1 = 0, 1, ... and then -1, -2, ...
+        for B in (b for b in self.HEIGHTS if b <= 2000):
+            rank = {xi: k for k, xi in enumerate(counting._xi_tuples(B, scheme))}
+            keys = [(rank[xi], t1 < 0, abs(t1)) for xi, t1, *_ in counting._walk(B, scheme)]
+            keys = [key for k, key in enumerate(keys) if k == 0 or key != keys[k - 1]]
+            assert keys == sorted(set(keys)), B
 
     def test_visits_refuse_heights_beyond_int64(self):
         # xi = (1, ..., 1): B*fl + t2max^2*xi2 = B + B^2 >= 2^62
         B = 2**31
         with pytest.raises(OverflowError, match=f"B = {B}"):
-            next(counting._tau1_visits(B, 1, 1, 1, 1, B, B))
+            counting._tau1_range(B, 1, 1, 1, B, B)
 
     def test_frames_refuse_heights_beyond_int64(self):
         B = 2**63
