@@ -10,10 +10,13 @@ The constant factors as  c = alpha * beta * omega_inf * omega_0  with
                 both through the iterated integrals g1/g2 and through an
                 independent slicing of the same region.
 
-alpha and omega_p are exact rationals; omega_0 and omega_inf are floats with
-explicit tail and quadrature error estimates.  A closed form of the height
-zeta function's local factor is cross-checked against a direct truncated sum
-weighted by the arithmetic function vartheta.
+g1 and g2 are closed forms.  g2 is a sum of Gauss hypergeometric functions
+for v >= 0.65 and, below, where those cancel, a fast binomial series plus a
+fixed 8-point Gauss rule; it takes arrays, so each Gauss rule over v costs
+one call of g2.  alpha and omega_p are exact rationals; omega_0 and omega_inf
+are floats with explicit tail and quadrature error estimates.  A closed form
+of the height zeta function's local factor is cross-checked against a direct
+truncated sum weighted by the arithmetic function vartheta.
 
 The same pieces give the proof's whole main term: main_term_coefficients
 returns the degree-6 polynomial P with N(B) ~ B * P(log B), whose top
@@ -25,9 +28,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
+from scipy.special import hyp2f1
 
 from .arith import _primes_upto, is_prime, phi_star
 from .torsor import LAMBDA, T1_SCHEME, xi_scheme_satisfied
@@ -187,35 +190,95 @@ def g1(u: float, v: float) -> float:
     return 2.0 * (cap * cap - lo_sq) / (cap + lo)  # 2*(cap - lo)
 
 
-def g2(v: float, tol: float = 1e-10) -> float:
-    """Integral of g1(., v) over |u| <= v^-4, for 0 < v <= 1.
+# g2's two forms meet here, at a panel edge of _g2_integrals.  Against
+# 30-digit integrals of g1 at 163 values of v in [1e-8, 1], g2 errs by at most
+# 1.2e-15 relative; the 2F1 form alone errs by up to 9e-13 near v = 0.36,
+# where its terms cancel
+_G2_V_SPLIT = 0.65
+# S(1) = int_0^1 sqrt(1 - s^3) ds, by Gauss's sum of the 2F1 at 1
+_S_ONE = math.gamma(4.0 / 3.0) * math.gamma(1.5) / math.gamma(11.0 / 6.0)
+# C = int_-1^1 sqrt(1 - u^3) du + int_1^inf (sqrt(1 + s^3) - sqrt(s^3 - 1)) ds
+# = 3.98111817831836663720..., the limit of g2 / 2 as v -> 0
+_G2_C = 3.9811181783183667
+# T(x) = x^(-1/2) sum_j _T_COEF[j] x^(-6j), the terms k = 2j + 1 of
+# sum_{k odd} 2 binom(1/2, k) x^(5/2 - 3k) / (3k - 5/2).  Each term is
+# positive, and the next one is less than x^-6 times it, since
+# (k - 1/2)(k + 1/2) < (k + 1)(k + 2) and 3k - 5/2 < 3k + 7/2.  Below
+# _G2_V_SPLIT, x = a1 and x^-6 = (v^-6 - 1)^-2 < 0.00665, so the terms
+# dropped after these eight sum to less than 0.00665^8 / (1 - 0.00665) < 4e-18
+# times the first, which is 2 x^(-1/2) < 2
+_T_COEF = [
+    2.0 * math.prod(0.5 - i for i in range(k)) / math.factorial(k) / (3 * k - 2.5)
+    for k in range(1, 17, 2)
+]
+# R(v) = v^7 int_-1^1 (1 - q) / (3 (1 + sqrt(1 + (q - 1) v^6)) (1 + q v^6)^(2/3)) dq,
+# with s^3 = v^-6 + q.  Below _G2_V_SPLIT, v^6 < 0.0755: inside the ellipse
+# with foci -1, 1 and semi-major axis 6, |q| <= 6, both roots' arguments stay
+# within 0.53 of 1, so the integrand is analytic, and below 7 / (3 * 0.669)
+# < 3.5 in modulus (|1 + sqrt| >= 1).  So the 8-point Gauss rule errs by
+# less than (64/15) 3.5 rho^-16 / (rho^2 - 1) < 1e-18, rho = 6 + 35^(1/2)
+# (Trefethen, SIAM Rev. 50, 2008, Thm 4.5)
+_R_NODES, _R_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-    The integrand vanishes for u > 1 and, below u = -1, decays so slowly
-    that the tail is integrated in the variable r = -1/u.  Kinks of g1
-    (the t-window hitting its cap v^-3, or closing) are passed to the
-    integrator as break points, and each break point ends a piece: below
-    v = 0.06 the cap crossing sits about v^7/3 above the tail's lower end,
-    and the thin capped layer between them is integrated on its own.
+
+def _g2_small(v):
+    # 2 [C - T(a1) + R(v)], with a1^(-1/2) = v (1 - v^6)^(-1/6) and
+    # a1^-6 = v^12 / (1 - v^6)^2: nothing overflows as v -> 0
+    v6 = v**6
+    t = v * (1.0 - v6) ** (-1.0 / 6.0) * np.polynomial.polynomial.polyval(
+        v6 * v6 / (1.0 - v6) ** 2, _T_COEF
+    )
+    s = _R_NODES[:, None]
+    r = v6 * v * (_R_WEIGHTS @ (
+        (1.0 - s) / (3.0 * (1.0 + np.sqrt(1.0 + (s - 1.0) * v6)) * (1.0 + s * v6) ** (2.0 / 3.0))
+    ))
+    return 2.0 * (_G2_C - t + r)
+
+
+def g2(v):
+    """Integral of g1(., v) over |u| <= v^-4, for 0 < v <= 1, in closed form.
+
+    v may be a float or an array of floats, evaluated elementwise.  With
+    a1 = (v^-6 - 1)^(1/3) and a2 = (v^-6 + 1)^(1/3), the t-window top
+    crosses its cap v^-3 at u = -a1, and g1 vanishes below
+    u = -e, e = min(v^-4, a2).  Hence, in s = -u,
+
+        g2 = 2 [S(1) - S(-a1) + v^-3 (e - a1) - L(e)],
+
+    with S(u) = int_0^u sqrt(1 - s^3) ds = u 2F1(-1/2, 1/3; 4/3; u^3) and
+    L(x) = int_1^x sqrt(s^3 - 1) ds = (2/9) x^(5/2) W^(3/2) 2F1(2/3, 1; 5/2; W),
+    W = 1 - x^-3 (the form without cancellation as x -> 1).  This serves
+    v >= _G2_V_SPLIT.  Below it S(-a1) and L(e) are both of size v^-5 and
+    cancel, and e = a2, so g2 is summed as
+
+        g2 = 2 [C - T(a1) + R(v)],
+
+    C = _G2_C, T(x) = int_x^inf (sqrt(s^3 + 1) - sqrt(s^3 - 1)) ds from its
+    binomial series and R(v) = int_a1^a2 (v^-3 - sqrt(s^3 - 1)) ds by a
+    fixed Gauss rule (_g2_small).  Expanding both in v^6, with
+    a1^(-1/2) = v (1 - v^6)^(-1/6) = v + v^7/6 + 7 v^13/72 + O(v^19),
+
+        T(a1) = 2 a1^(-1/2) + a1^(-13/2) / 52 + ... = 2v + v^7/3 + (7/36 + 1/52) v^13 + ...,
+        R(v) = v^7/3 + 5 v^13/27 + O(v^19),
+
+    so the v^7 terms cancel and g2 = 2C - 4v - (20/351) v^13 + O(v^19).
     """
-    if not 0 < v <= 1:
+    v = np.asarray(v, dtype=float)
+    if not np.all((v > 0.0) & (v <= 1.0)):
         raise ValueError("v must lie in (0, 1]")
-    # the t-window top crosses the cap at u = -a1, and leaves it entirely
-    # (g1 = 0) at u = -a2
-    a1 = max(0.0, v**-6.0 - 1.0) ** (1.0 / 3.0)
-    a2 = (v**-6.0 + 1.0) ** (1.0 / 3.0)
-    near, _ = quad(
-        g1, -1.0, 1.0, args=(v,), points=[-a1], limit=200, epsabs=tol, epsrel=tol
+    out = np.empty_like(v)
+    small = v < _G2_V_SPLIT
+    out[small] = _g2_small(v[small])
+    big = v[~small]
+    a1 = np.maximum(0.0, big**-6.0 - 1.0) ** (1.0 / 3.0)
+    e = np.minimum(big**-4.0, (big**-6.0 + 1.0) ** (1.0 / 3.0))
+    w = 1.0 - e**-3.0
+    out[~small] = 2.0 * (
+        _S_ONE + a1 * hyp2f1(-0.5, 1.0 / 3.0, 4.0 / 3.0, -(a1**3))
+        + big**-3.0 * (e - a1)
+        - (2.0 / 9.0) * e**2.5 * w**1.5 * hyp2f1(2.0 / 3.0, 1.0, 2.5, w)
     )
-    # tail in rho = sqrt(-1/u): the integrand approaches its moving lower
-    # endpoint like 1/sqrt(r), which this substitution flattens
-    rho_lo = math.sqrt(max(v**4.0, 1.0 / a2))
-    # the cap crossing in rho; at v = 1 it is u = 0, where rho is infinite
-    pts = [a1**-0.5] if a1 > 0.0 else []
-    far, _ = quad(
-        lambda rho: g1(-1.0 / (rho * rho), v) * 2.0 / rho**3,
-        rho_lo, 1.0, points=pts, limit=200, epsabs=tol, epsrel=tol,
-    )
-    return near + far
+    return out if out.ndim else float(out)
 
 
 # v-locations where the structure of g2 changes: the t-window cap crossing
@@ -224,31 +287,30 @@ _G2_V_KINKS = (2.0 ** (-1.0 / 6.0), ((1.0 + math.sqrt(5.0)) / 2.0) ** (-1.0 / 6.
 
 
 def _g2_integrals(f, n):
-    """n-point Gauss-Legendre values of the integral of f on each panel of [0, 1].
+    """n-point Gauss-Legendre values of the integral of f on each panel of
+    [0, 1], as an array whose last axis runs over the six panels.
 
-    The panels follow the smooth stretches of g2 between its kinks.  The
-    bottom one is substituted as v = a*y^6, which flattens a logarithmic
-    singularity of f at 0, and the top two as v = 1 - y^3, which removes the
-    cube-root cusp of g2 at v = 1.  f may return an array, for several
-    integrands sharing their g2 values.
+    The panels follow the smooth stretches of g2 between its kinks and its
+    two forms.  The bottom one is substituted as v = a*y^6, which flattens a
+    logarithmic singularity of f at 0, and the top two as v = 1 - y^3, which
+    removes the cube-root cusp of g2 at v = 1.  f is called once, on the
+    array of all nodes, and may return an array with leading axes, for
+    several integrands sharing their g2 values.
     """
     k1, k2 = _G2_V_KINKS  # 2^(-1/6) < phi^(-1/6)
     a, y_top = 0.35, (1.0 - k2) ** (1.0 / 3.0)
-    bottom = lambda y: 6.0 * a * y**5 * f(a * y**6)
-    top = lambda y: 3.0 * y * y * f(1.0 - y**3)
-    panels = [
-        (bottom, 0.0, 1.0), (f, a, 0.65), (f, 0.65, k1), (f, k1, k2),
-        (top, 0.0, 0.5 * y_top), (top, 0.5 * y_top, y_top),
-    ]
+    lo = np.array([0.0, a, _G2_V_SPLIT, k1, 0.0, 0.5 * y_top])
+    hi = np.array([1.0, _G2_V_SPLIT, k1, k2, 0.5 * y_top, y_top])
     x, w = np.polynomial.legendre.leggauss(n)
-    out = []
-    for g, lo, hi in panels:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        out.append(half * sum(wi * g(mid + half * xi) for xi, wi in zip(x, w)))
-    return out
+    half = 0.5 * (hi - lo)
+    y = 0.5 * (lo + hi)[:, None] + half[:, None] * x
+    v, jac = y.copy(), np.ones_like(y)
+    v[0], jac[0] = a * y[0] ** 6, 6.0 * a * y[0] ** 5
+    v[4:], jac[4:] = 1.0 - y[4:] ** 3, 3.0 * y[4:] ** 2
+    return half * (f(v) * jac * w).sum(axis=-1)
 
 
-def omega_inf_g2(tol: float = 1e-9):
+def omega_inf_g2():
     """6 * integral of g2 over [0, 1]; returns (value, error estimate).
 
     This is K(0) of the main term's K(w) = 6 * int_0^1 g2(v) v^(6w) dv, on
@@ -259,11 +321,8 @@ def omega_inf_g2(tol: float = 1e-9):
     evaluation deterministic; the error estimate is 6 times the summed
     differences from a 20-point rule on each panel.
     """
-    inner = max(tol * 1e-2, 1e-10)
-    f = lambda v: g2(v, inner)
-    hi, lo = _g2_integrals(f, 32), _g2_integrals(f, 20)
-    err = sum(abs(h - l) for h, l in zip(hi, lo))
-    return float(6.0 * sum(hi)), float(6.0 * err)
+    hi, lo = _g2_integrals(g2, 32), _g2_integrals(g2, 20)
+    return float(6.0 * hi.sum()), float(6.0 * np.abs(hi - lo).sum())
 
 
 def _v_measure(t, u):
@@ -334,9 +393,10 @@ def omega_inf(tol: float = 1e-9) -> ArchimedeanDensity:
     """Archimedean density, computed two ways and cross-checked.
 
     Raises ArithmeticError when the two evaluations disagree by more than
-    the sum of the integrators' own error estimates.
+    the sum of their own error estimates.  tol is the direct slicing's
+    quadrature tolerance; the g2 form has fixed nodes.
     """
-    a, ea = omega_inf_g2(tol)
+    a, ea = omega_inf_g2()
     b, eb = omega_inf_direct(tol)
     spread = abs(a - b)
     if spread > ea + eb:
@@ -492,11 +552,11 @@ def _archimedean_moments(order):
 
     The coefficient of w^n is 6 * int_0^1 g2(v) (6 log v)^n / n! dv, from the
     32-point panels of _g2_integrals; the w^0 one equals omega_inf_g2's value
-    bit for bit at its default tolerance.
+    bit for bit.
     """
-    n = np.arange(order + 1)
-    fact = np.array([math.factorial(k) for k in n], dtype=float)
-    total = sum(_g2_integrals(lambda v: g2(v) * (6.0 * math.log(v)) ** n / fact, 32))
+    n = np.arange(order + 1)[:, None, None]
+    fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)[:, None, None]
+    total = _g2_integrals(lambda v: g2(v) * (6.0 * np.log(v)) ** n / fact, 32).sum(axis=-1)
     return [6.0 * float(t) for t in total]
 
 
@@ -521,7 +581,9 @@ def _euler_taylor(P, order):
         p = primes[start : start + _PRIME_CHUNK]
         pw = p ** -np.arange(2.0, 2 + b.shape[1])[:, None]
         # one product per row, so row 0 rounds alike at every order
-        u = np.array([row @ pw for row in b])
+        u = np.empty((order + 1, len(p)))
+        for row, out in zip(b, u):
+            np.matmul(row, pw, out=out)
         scale, minus_log_p = np.ones_like(p), -np.log(p)
         for m in range(1, order + 1):
             scale *= minus_log_p / m
@@ -543,13 +605,21 @@ def _euler_taylor(P, order):
     return g
 
 
+# the Stieltjes constants gamma_0, ..., gamma_5, rounded from mpmath.stieltjes
+_STIELTJES = (
+    0.5772156649015329, -0.07281584548367673, -0.00969036319287232,
+    0.002053834420303346, 0.0023253700654673, 0.0007933238173010627,
+)
+
+
 def _zeta_taylor(order):
     """Taylor coefficients of w^7 * prod_i zeta(1 + lambda_i w) up to w^order.
 
     Each factor comes from the Laurent expansion
-    zeta(1 + s) = 1/s + sum_n (-1)^n gamma_n s^n / n!  (Stieltjes constants).
+    zeta(1 + s) = 1/s + sum_n (-1)^n gamma_n s^n / n!  (Stieltjes constants,
+    _STIELTJES; order <= 6).
     """
-    gammas = [float(mpmath.stieltjes(k)) for k in range(order)]
+    gammas = _STIELTJES[:order]
     out = [1.0] + [0.0] * order
     for lam in LAMBDA:
         factor = [1.0 / lam] + [

@@ -12,6 +12,42 @@ from e6cubic import arith, counting, density
 G2_AT_ONE = 3.6826185263905455
 
 
+def limit_constant():
+    """C = lim g2 / 2 = int_-1^1 sqrt(1 - u^3) du + int_1^inf (sqrt(1 + s^3) -
+    sqrt(s^3 - 1)) ds, at mpmath's working precision."""
+    near = mpmath.quad(lambda u: mpmath.sqrt(1 - u**3), [-1, 0, 1])
+    far = mpmath.quad(
+        lambda s: 2 / (mpmath.sqrt(s**3 + 1) + mpmath.sqrt(s**3 - 1)),
+        [1, 2, 10, 100, mpmath.inf],
+    )
+    return near + far
+
+
+def g2_by_quadrature(v, digits=30):
+    """g2(v) as mpmath's integral of g1's own piecewise formula, split at its
+    kinks and at powers of 4 below u = -1, at 6*log10(1/v) + digits digits:
+    the capped layer near u = -v^-2 is about v^4 wide."""
+    with mpmath.workdps(int(6 * max(0, -math.log10(v))) + digits):
+        v = mpmath.mpf(v)
+        cap = v**-3
+
+        def g1(u):
+            hi_sq, lo_sq = 1 - u**3, -1 - u**3
+            if hi_sq <= 0:
+                return mpmath.mpf(0)
+            lo = mpmath.sqrt(lo_sq) if lo_sq > 0 else 0
+            return 2 * max(0, min(mpmath.sqrt(hi_sq), cap) - lo)
+
+        a1 = mpmath.cbrt(max(0, v**-6 - 1))
+        e = min(v**-4, mpmath.cbrt(v**-6 + 1))
+        ends = {mpmath.mpf(1), mpmath.mpf(-1), -e, -a1}
+        u = mpmath.mpf(-4)
+        while u > -e:
+            ends.add(u)
+            u *= 4
+        return +mpmath.quad(g1, sorted(x for x in ends if -e <= x <= 1))
+
+
 class TestAlpha:
     def test_exact_value(self):
         assert density.alpha_exact() == Fraction(1, 6220800)
@@ -145,11 +181,74 @@ class TestArchimedean:
             with pytest.raises(ValueError):
                 density.g2(v)
 
+    def test_g2_matches_a_high_precision_integral(self):
+        # on both sides of each kink and of the split between g2's two forms
+        k1, k2 = density._G2_V_KINKS
+        split = density._G2_V_SPLIT
+        vs = [1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.35, split * (1 - 1e-9), split,
+              split * (1 + 1e-9), 0.8, k1 * (1 - 1e-9), k1 * (1 + 1e-9),
+              k2 * (1 - 1e-9), k2 * (1 + 1e-9), 0.9999, 1 - 1e-12, 1.0]
+        for v in vs:
+            exact = g2_by_quadrature(v)
+            assert abs(density.g2(v) / exact - 1) <= 1e-13, v
+
+    def test_g2_on_arrays_is_elementwise(self):
+        v = np.array([[1e-6, 0.3, 0.65], [0.9, 0.95, 1.0]])
+        got = density.g2(v)
+        assert got.shape == v.shape
+        expected = [[density.g2(x) for x in row] for row in v.tolist()]
+        assert got.tolist() == [pytest.approx(row, rel=1e-15, abs=0) for row in expected]
+        assert type(density.g2(0.5)) is float
+
+    def test_g2_limit_constant(self):
+        with mpmath.workdps(40):
+            assert density._G2_C == float(limit_constant())
+            one = mpmath.quad(lambda u: mpmath.sqrt(1 - u**3), [0, 1])
+        assert density._S_ONE == pytest.approx(float(one), rel=1e-15)
+
+    def test_g2_small_v_expansion(self):
+        # g2 = 2C - 4v - (20/351) v^13 + O(v^19): the v^7 terms of T(a1) and
+        # R(v) cancel.  60-digit integrals show the v^13 coefficient ...
+        for v in (0.1, 0.2):
+            with mpmath.workdps(60):
+                gap = (g2_by_quadrature(v, 60) - 2 * limit_constant() + 4 * mpmath.mpf(v)) / (
+                    mpmath.mpf(v) ** 13
+                )
+            assert float(gap) == pytest.approx(-20 / 351, rel=1e-6), v
+        # ... and the float g2 keeps to it down to rounding
+        for v in np.geomspace(1e-8, 0.1, 15):
+            gap = density.g2(v) - (2 * density._G2_C - 4 * v)
+            assert abs(gap) <= 20 / 351 * v**13 + 4 * np.spacing(8.0), v
+
+    def test_g2_form_error_estimate_covers_a_25_digit_value(self):
+        # 6 * int_0^1 g2 at 25 digits, with g2 in its 2F1 form at a working
+        # precision that outgrows the form's cancellation
+        def g2_mp(v):
+            with mpmath.extradps(int(5 * max(0, -mpmath.log10(v))) + 10):
+                third = mpmath.mpf(1) / 3
+                a1 = mpmath.cbrt(max(0, v**-6 - 1))
+                e = min(v**-4, mpmath.cbrt(v**-6 + 1))
+                w = 1 - e**-3
+                s = lambda u: u * mpmath.hyp2f1(-0.5, third, 1 + third, u**3)
+                ell = 2 * e**2.5 * w**1.5 * mpmath.hyp2f1(2 * third, 1, 2.5, w) / 9
+                return +(2 * (s(1) - s(-a1) + v**-3 * (e - a1) - ell))
+
+        with mpmath.workdps(25):
+            k1 = mpmath.mpf(2) ** (-mpmath.mpf(1) / 6)
+            k2 = ((1 + mpmath.sqrt(5)) / 2) ** (-mpmath.mpf(1) / 6)
+            exact = 6 * (
+                mpmath.quad(g2_mp, [0, 0.35, 0.65], method="gauss-legendre")
+                + mpmath.quad(g2_mp, [0.65, k1, k2, 1])
+            )
+        value, err = density.omega_inf_g2()
+        assert abs(value - exact) <= err
+        assert err < 1e-12
+
     def test_dual_evaluations_agree(self):
         a, ea = density.omega_inf_g2()
         b, eb = density.omega_inf_direct()
         # every break point ends a quadrature piece, so the forms agree to
-        # rounding: 2.8e-14 at the default tolerance
+        # rounding: 3.5e-14 at the default tolerance
         assert abs(a - b) <= 1e-12
         assert ea < 1e-6 and eb < 1e-6
 
@@ -158,15 +257,16 @@ class TestArchimedean:
         assert density._archimedean_moments(6)[0] == density.omega_inf_g2()[0]
 
     def test_g2_calls_per_quadrature(self, monkeypatch):
-        # 6 panels: 32 + 20 nodes for omega_inf_g2, 32 for the moments
+        # 6 panels: 32 + 20 nodes for omega_inf_g2, 32 for the moments, each
+        # rule's nodes in one array call
         calls = []
         g2 = density.g2
-        monkeypatch.setattr(density, "g2", lambda v, *tol: calls.append(v) or g2(v, *tol))
+        monkeypatch.setattr(density, "g2", lambda v: calls.append(np.size(v)) or g2(v))
         density.omega_inf_g2()
-        assert len(calls) == 312
+        assert calls == [192, 120]
         calls.clear()
         density._archimedean_moments(6)
-        assert len(calls) == 192
+        assert calls == [192]
 
     def test_omega_inf_record(self):
         r = density.omega_inf()
@@ -385,6 +485,14 @@ class TestEulerTaylor:
         # c and the main term read the same value
         for P in (10**3, 10**4):
             assert density._euler_taylor(P, 6)[0] == density.omega0(P).value, P
+
+
+class TestZetaTaylor:
+    def test_stieltjes_literals(self):
+        with mpmath.workdps(30):
+            for k, gamma in enumerate(density._STIELTJES):
+                assert gamma == float(mpmath.stieltjes(k)), k
+        assert len(density._STIELTJES) == len(density.LAMBDA) - 1
 
 
 class TestAssembledConstant:
