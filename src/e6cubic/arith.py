@@ -29,12 +29,18 @@ __all__ = [
 
 def _primes_upto(n):
     """The primes p <= n, ascending, as a numpy integer array."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
+    if n < 2:
+        return np.zeros(0, dtype=np.intp)
+    # odd numbers only: sieve[i] stands for 2i + 1, so odd p is at p // 2
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = False
+    primes = np.flatnonzero(sieve)
+    primes *= 2  # in place: no second array of the primes' size
+    primes += 1
+    primes[0] = 2  # in place of 1, which sieve[0] stands for
+    return primes
 
 
 # Python ints: n % p with a numpy int64 p overflows for n >= 2^63

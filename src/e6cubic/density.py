@@ -325,55 +325,52 @@ def omega_inf_g2():
     return float(6.0 * hi.sum()), float(6.0 * np.abs(hi - lo).sum())
 
 
-def _v_measure(t, u):
-    # measure of {v in [0,1] : |t v^3| <= 1, |u v^4| <= 1} for t >= 0
-    w = 1.0 if t <= 1.0 else t ** (-1.0 / 3.0)
-    cu = 1.0 if abs(u) <= 1.0 else abs(u) ** -0.25
-    return min(w, cu)
+def _u_section(u):
+    """Integral over t of the v-measure along the band -1 - u^3 <= t^2 <= 1 - u^3
+    (both signs of t), in closed form.
 
-
-def _u_section(u, tol):
-    # integral over t of the v-measure along the band -1-u^3 <= t^2 <= 1-u^3
+    The measure of {v in [0, 1] : |t v^3| <= 1, |u v^4| <= 1} is c up to t = T
+    and t^(-1/3) above, with c = s^(-1/4), T = s^(3/4), s = max(1, |u|), so
+    c*T = T^(2/3).  Its antiderivative is F(t) = c*t below T and
+    1.5 t^(2/3) - 0.5 T^(2/3) above, and the section is 2 (F(hi) - F(lo)) with
+    hi = sqrt(1 - u^3), lo = sqrt(max(0, -1 - u^3)).  Below u = -1 the band is
+    narrow and hi^2 - lo^2 = 2 exactly, so with both ends on one side of T the
+    difference is taken without cancellation: 4c / (hi + lo) below T, and
+    6 / (a^2 + ab + b^2) with a = hi^(2/3), b = lo^(2/3) above.
+    """
     u3 = u**3
     hi_sq = 1.0 - u3
-    if hi_sq <= 0:
+    if hi_sq <= 0.0:
         return 0.0
-    lo_sq = -1.0 - u3
-    if lo_sq <= 0.0:
-        val, _ = quad(
-            _v_measure, 0.0, math.sqrt(hi_sq), args=(u,), points=(1.0, abs(u) ** 0.75),
-            limit=200, epsabs=tol, epsrel=tol,
-        )
-        return 2.0 * val
-    # narrow band far below u = -1: the width collapses in floating point,
-    # so parametrize the band by its stable conjugate width
-    lo = math.sqrt(lo_sq)
-    width = 2.0 / (math.sqrt(hi_sq) + lo)
-    val, _ = quad(
-        lambda s: _v_measure(lo + width * s, u), 0.0, 1.0,
-        points=[(p - lo) / width for p in (1.0, abs(u) ** 0.75)],
-        limit=200, epsabs=tol, epsrel=tol,
-    )
-    return 2.0 * width * val
+    s = max(1.0, abs(u))
+    c, t_switch = s**-0.25, s**0.75
+    hi, lo = math.sqrt(hi_sq), math.sqrt(max(0.0, -1.0 - u3))
+    if lo > 0.0 and hi <= t_switch:
+        return 4.0 * c / (hi + lo)
+    if lo >= t_switch:
+        a, b = hi ** (2.0 / 3.0), lo ** (2.0 / 3.0)
+        return 6.0 / (a * a + a * b + b * b)
+    # here lo < T, so F(lo) = c*lo
+    upper = c * hi if hi <= t_switch else 1.5 * hi ** (2.0 / 3.0) - 0.5 * math.sqrt(s)
+    return 2.0 * (upper - c * lo)
 
 
 def omega_inf_direct(tol: float = 1e-9):
-    """The same volume, sliced the other way: v-fibers measured exactly,
-    then integrated over the (t, u) band.  Returns (value, error estimate).
+    """The same volume, sliced the other way: v-fibers measured exactly and
+    integrated over t in closed form (_u_section), then over u by adaptive
+    quadrature, the only place tol acts.  Returns (value, error estimate).
 
     The unbounded u < -1 part is mapped to r = -1/u in (0, 1).
     """
-    inner_tol = tol * 1e-2
     near, err1 = quad(
-        lambda u: _u_section(u, inner_tol), -1.0, 1.0, points=[0.0], limit=400,
-        epsabs=tol, epsrel=tol,
+        _u_section, -1.0, 1.0, points=[0.0], limit=400, epsabs=tol, epsrel=tol,
     )
-    # section kinks in the tail: the t-window bottom crosses t = 1 at
-    # |u| = 2^(1/3) and crosses the weight switch t = |u|^(3/4) where
-    # |u|^(3/2) equals the golden ratio
+    # the tail's section kinks where the t-window bottom crosses the switch
+    # T = |u|^(3/4), at |u|^(3/2) = the golden ratio; |u| = 2^(1/3), where
+    # the bottom crosses t = 1, is no kink (T > 1 there) but stays a piece end
     far_pts = [2.0 ** (-1.0 / 3.0), ((1.0 + math.sqrt(5.0)) / 2.0) ** (-2.0 / 3.0)]
     far, err2 = quad(
-        lambda r: _u_section(-1.0 / r, inner_tol) / (r * r), 0.0, 1.0,
+        lambda r: _u_section(-1.0 / r) / (r * r), 0.0, 1.0,
         points=far_pts, limit=400, epsabs=tol, epsrel=tol,
     )
     return 6.0 * (near + far), 6.0 * (err1 + err2)

@@ -102,8 +102,9 @@ def _congruence_checks(samples, seed):
             a = rng.randrange(-3 * q, 3 * q + 1)
             if math.gcd(a, q) == 1:
                 break
-        b1 = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 50))
-        b2 = b1 + Fraction(rng.randrange(0, 10**6), rng.randrange(1, 50))
+        n1, d1 = rng.randrange(-10**6, 10**6), rng.randrange(1, 50)
+        m, d2 = rng.randrange(0, 10**6), rng.randrange(1, 50)
+        b1, b2 = Fraction(n1, d1), Fraction(n1 * d2 + m * d1, d1 * d2)  # b2 = b1 + m/d2
         res = arith.count_congruence_interval(b1, b2, a, q)
         ok = res.main_term + res.remainder == res.exact_count
         yield None if ok else f"identity fails at {(b1, b2, a, q)}"

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -30,6 +31,20 @@ def naive_factor(n):
 def eta_brute(a, q):
     a %= q
     return sum(1 for n in range(1, q + 1) if (n * n - a) % q == 0)
+
+
+class TestPrimesUpto:
+    def test_matches_is_prime(self):
+        # every n below 3000, so that each parity of n and each square of an
+        # odd prime ends the odd-only sieve once
+        primes = [p for p in range(3000) if arith.is_prime(p)]
+        for n in range(3000):
+            got = arith._primes_upto(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == primes[: bisect.bisect_right(primes, n)], n
+
+    def test_prime_count_to_a_million(self):
+        assert len(arith._primes_upto(10**6)) == 78_498
 
 
 class TestFactorize:

@@ -140,6 +140,22 @@ class TestEulerProduct:
         assert density.omega0(P).value == pytest.approx(expected, rel=1e-13, abs=0)
 
 
+def u_section_by_quadrature(u):
+    """2 * the integral of min(c, w(t)) over the t band of u, with
+    w(t) = min(1, t^(-1/3)) and c = min(1, |u|^(-1/4)), as mpmath's integral
+    at 60 digits, split at t = 1 and t = |u|^(3/4): the band below u = -1e9
+    is about 3e-14 wide at t ~ 3e13, so 27 of those digits cancel."""
+    with mpmath.workdps(60):
+        u = mpmath.mpf(u)
+        if u**3 >= 1:
+            return mpmath.mpf(0)
+        hi, lo = mpmath.sqrt(1 - u**3), mpmath.sqrt(max(0, -1 - u**3))
+        c = min(1, abs(u) ** mpmath.mpf(-0.25))
+        w = lambda t: 1 if t <= 1 else t ** (-mpmath.mpf(1) / 3)
+        ends = [lo, *sorted(p for p in (1, abs(u) ** mpmath.mpf(0.75)) if lo < p < hi), hi]
+        return 2 * mpmath.quad(lambda t: min(c, w(t)), ends)
+
+
 class TestArchimedean:
     def test_g1_whole_interval(self):
         assert density.g1(0.0, 1.0) == 2.0
@@ -243,6 +259,36 @@ class TestArchimedean:
         value, err = density.omega_inf_g2()
         assert abs(value - exact) <= err
         assert err < 1e-12
+
+    def test_u_section_matches_a_high_precision_integral(self):
+        # every branch of the closed form, and both sides of the tail's
+        # break points: the window bottom crossing t = 1 and the switch T
+        golden = ((1 + math.sqrt(5)) / 2) ** (2 / 3)
+        us = [1.0, 0.999, 0.5, 0.0, -0.3, -0.999, -1.0, -1.0001,
+              -(2 ** (1 / 3)) * (1 - 1e-9), -(2 ** (1 / 3)) * (1 + 1e-9),
+              -golden * (1 - 1e-9), -golden * (1 + 1e-9),
+              -2.0, -10.0, -1e3, -1e6, -1e9]
+        for u in us:
+            exact = u_section_by_quadrature(u)
+            got = density._u_section(u)
+            if exact == 0:
+                assert got == 0.0, u
+            else:
+                assert abs(got / exact - 1) <= 2e-14, u
+
+    def test_direct_form_quadratures_are_the_outer_ones(self, monkeypatch):
+        # the sections are closed forms, so only the five pieces of the two
+        # u-integrals call QUADPACK, and tol still reaches them
+        calls = []
+        scipy_quad = density._scipy_quad
+        monkeypatch.setattr(
+            density, "_scipy_quad", lambda *a, **k: calls.append(a) or scipy_quad(*a, **k)
+        )
+        _, coarse = density.omega_inf_direct(1e-3)
+        assert len(calls) == 5
+        _, fine = density.omega_inf_direct(1e-9)
+        assert len(calls) == 10
+        assert fine < coarse
 
     def test_dual_evaluations_agree(self):
         a, ea = density.omega_inf_g2()
