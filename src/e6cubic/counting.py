@@ -8,8 +8,7 @@ the torsor coordinates, so the whole counter runs on integer arithmetic:
     |tau2| * xi^X0_EXPONENTS <= B   (the x0 bound)
     |tauL| <= B                     (the x1 bound; tauL is solved for)
 
-Three inner strategies share the same xi/tau1 nest, and the class count
-serves a fourth use:
+Three inner strategies share the same xi/tau1 nest:
 
 - the tau2 scan (``_scan``) tries every tau2 with |tau2| <= B/x0_unit; it
   is the plain oracle, reached through ``count_torsor`` for the count.
@@ -22,35 +21,35 @@ serves a fourth use:
   with at most _BATCH tau1 values in all, their visits int64 arrays over
   tau1 that read every visit's roots off one sorted table of the squares
   modulo each fl of the chunk (``_root_slices``).
-- the class count (``count_torsor_fast``) counts each root class in its
-  tau2 window without visiting its points (``_class_counts``): writing
-  tau2 = r + fl*k, the k with p | tau2 or p | tauL are at most three
-  residues mod each prime p of the partner products, and inclusion-exclusion
-  over their CRT classes runs on arrays of terms, one prime slot at a time
-  (``_avoiding_counts``), to count the k that avoid them all.  tau2 enters
-  only through tau2^2 and gcd(tau2, c2), and the roots r are closed under
-  negation, so the count takes tau2 >= 0 only and doubles it, less tau2 = 0
-  once.  The class walk keeps both signs of tau2, as the count's independent
-  oracle.  The count takes the xi tuples of a chunk together: a batch of
-  at most _BATCH classes times heights is one array pass, slot i holding
-  each tuple's i-th prime, with one table of square roots or of inverses
-  per prime.  A larger xi tuple is a chunk or a batch alone.
-- the grid count (``count_torsor_grid``) is the class count at the largest
-  height of a grid, which counts every smaller height in the same pass: a
-  (xi, tau1) visit at B_max counts at B_j when x2 <= B_j and
-  m3 * |tau1| <= B_j, and only its tau2 window shrinks with B_j, inside the
-  larger windows, so each term counts its k in the windows of all heights
-  at once, broadcast over a height axis.  ``count_torsor_fast`` runs the
-  same pass on one height.
+- the class count (``count_torsor_grid``, and ``count_torsor_fast`` on one
+  height) counts each root class in its tau2 window without visiting its
+  points (``_class_counts``): writing tau2 = r + fl*k, the k with p | tau2
+  or p | tauL are at most three residues mod each prime p of the partner
+  products, and inclusion-exclusion over their CRT classes runs on arrays
+  of terms, one prime slot at a time (``_avoiding_counts``), to count the
+  k that avoid them all.  tau2 enters only through tau2^2 and
+  gcd(tau2, c2), and the roots r are closed under negation, so the count
+  takes tau2 >= 0 only and doubles it, less tau2 = 0 once.  The class walk
+  keeps both signs of tau2, as the count's independent oracle.  The count
+  takes the xi tuples of a chunk together: a batch of at most _BATCH
+  classes times heights is one array pass, slot i holding each tuple's
+  i-th prime, with one table of square roots or of inverses per prime.  A
+  larger xi tuple is a chunk or a batch alone.  One pass at the largest
+  height of a grid counts every smaller height too: a (xi, tau1) visit at
+  B_max counts at B_j when x2 <= B_j and m3 * |tau1| <= B_j, and only its
+  tau2 window shrinks with B_j, inside the larger windows, so each term
+  counts its k in the windows of all heights at once, broadcast over a
+  height axis.
 
 All must agree exactly, the class count with the class walk at every
-(xi, tau1), the grid with the class count at every height; the brute surface
-scan is the independent oracle for all.
+(xi, tau1) and every height; the brute surface scan is the independent
+oracle for all.
 
-Parallel counts deal the xi tuples round-robin to the workers, in the
-canonical order of ``_xi_tuples``: a xi tuple's tau1/tau2 sums are
-independent of every other tuple's, and summing the shard counts reproduces
-the full count, so parallel runs are deterministic.
+Parallel counts deal the xi tuples round-robin to the workers (``_scan_part``
+for the scan, ``_grid_part`` for the class count), in the canonical order of
+``_xi_tuples``: a xi tuple's tau1/tau2 sums are independent of every other
+tuple's, and summing the shard counts reproduces the full count, so parallel
+runs are deterministic.
 """
 
 import math
@@ -126,10 +125,13 @@ def _xi_tuples(B, scheme):
     """Admissible xi-tuples (canonical order) with xi^LAMBDA <= B, as an iterator.
 
     Applies the xi conditions of the scheme incrementally.  Every count and
-    enumeration starts here, so a negative B raises here, at the call.
+    enumeration starts here, so a negative B, or one beyond the int64
+    monomials of ``_frames``, raises here, at the call, before any table.
     """
+    if _height(B) >= 1 << 63:
+        raise OverflowError(f"height B = {B} is too large for the int64 monomials")
     sf, earlier, _ = _scheme_tables(scheme)
-    sqfree = _squarefree_table(math.isqrt(_height(B)) + 1)
+    sqfree = _squarefree_table(math.isqrt(B) + 1)
     exps = tuple(LAMBDA[i] for i in _LOOP_ORDER)
     vals = [1] * 7  # in loop order
     gcd = math.gcd
@@ -167,10 +169,8 @@ def _frames(B, scheme, xis=None):
     c1, c2, cl the products of the xi's that tau1, tau2, tauL must be
     coprime to.  The eight monomials of a chunk of xi tuples come from one
     int64 pass; each exponent is at most LAMBDA's, so every monomial and
-    partial product is at most x2 <= B, and a larger B raises OverflowError.
+    partial product is at most x2 <= B < 2^63, as ``_xi_tuples`` checks.
     """
-    if B >= 1 << 63:
-        raise OverflowError(f"height B = {B} is too large for the int64 monomials")
     _, _, partners = _scheme_tables(scheme)
     xis = iter(_xi_tuples(B, scheme) if xis is None else xis)
     exps = np.array((LAMBDA, X0_EXPONENTS, X3_EXPONENTS, FL_EXPONENTS, F1_EXPONENTS, *partners))
@@ -344,23 +344,29 @@ def _prime_square_roots(p, a):
 
 
 def _walk(B, scheme):
-    """Yield (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) for all solutions,
-    visit by visit in the order of ``_visit_chunks``."""
+    """An iterator of (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) over all
+    solutions, visit by visit in the order of ``_visit_chunks``; a B beyond
+    the first xi tuple's int64 arrays raises at the call (``_tau1_range``)."""
+    _tau1_range(_height(B), 1, 1, 1, B, B)
     gcd = math.gcd
-    for frames, (tup, t1, A, roots, first, last) in _visit_chunks(B, scheme):
-        xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
-        lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
-        roots = roots.tolist()
-        for v, t, a, i, j, l, h in zip(*(x.tolist() for x in (tup, t1, A, first, last, lo, hi))):
-            xi, x2, m0, m3, f, _, _, c2, cl, _, _ = frames[v]
-            ivs = ((-h, h),) if l == 0 else ((-h, -l), (l, h))
-            for r in roots[i:j]:
-                for a_lo, a_hi in ivs:
-                    start = a_lo + ((r - a_lo) % f)
-                    for t2 in range(start, a_hi + 1, f):
-                        tl = -((t2 * t2 * xi[1] + a) // f)
-                        if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
-                            yield (xi, t, t2, tl, x2, m0, m3)
+
+    def solutions():
+        for frames, (tup, t1, A, roots, first, last) in _visit_chunks(B, scheme):
+            xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
+            lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
+            roots = roots.tolist()
+            for v, t, a, i, j, l, h in np.stack((tup, t1, A, first, last, lo, hi), 1).tolist():
+                xi, x2, m0, m3, f, _, _, c2, cl, _, _ = frames[v]
+                ivs = ((-h, h),) if l == 0 else ((-h, -l), (l, h))
+                for r in roots[i:j]:
+                    for a_lo, a_hi in ivs:
+                        start = a_lo + ((r - a_lo) % f)
+                        for t2 in range(start, a_hi + 1, f):
+                            tl = -((t2 * t2 * xi[1] + a) // f)
+                            if gcd(t2, c2) == 1 and gcd(tl, cl) == 1:
+                                yield (xi, t, t2, tl, x2, m0, m3)
+
+    return solutions()
 
 
 def _scan(B, scheme, xis=None):
@@ -604,13 +610,10 @@ def _grid_class_counts(Bs, scheme, xis=None):
                 yield frames[i][0], t1[at[i]:at[i + 1]], ns[v, low[i] - j0:]
 
 
-def _count_part(args):
-    """Points of every parts-th xi tuple, from the part-th on."""
-    B, fast, parts, part, scheme = args
-    xis = islice(_xi_tuples(B, scheme), part, None, parts)
-    if fast:
-        return int(sum(ns.sum() for _, _, ns in _grid_class_counts((B,), scheme, xis)))
-    return sum(1 for _ in _scan(B, scheme, xis))
+def _scan_part(args):
+    """Points of every parts-th xi tuple at B, from the part-th on, by the tau2 scan."""
+    B, parts, part, scheme = args
+    return sum(1 for _ in _scan(B, scheme, islice(_xi_tuples(B, scheme), part, None, parts)))
 
 
 def _grid_part(args):
@@ -623,39 +626,30 @@ def _grid_part(args):
     return tuple(counts.tolist())
 
 
-def _sharded(worker, job, threads):
-    """([worker(job(parts, part)) for part in range(parts)], parts), parts = threads.
+def _sharded(worker, top, threads, scheme):
+    """([worker((top, parts, part, scheme)) for part < parts], parts), parts = threads.
 
     With more than one part, the parts run on one pool of that many processes.
     """
     parts = max(1, int(threads))
-    jobs = [job(parts, part) for part in range(parts)]
+    jobs = [(top, parts, part, scheme) for part in range(parts)]
     if parts == 1:
         return [worker(jobs[0])], 1
     with Pool(parts) as pool:
         return pool.map(worker, jobs), parts
 
 
-def _count(B, fast, threads, scheme):
-    _height(B)  # raise before any worker starts
-    partial, shards = _sharded(
-        _count_part, lambda parts, part: (B, fast, parts, part, scheme), threads
-    )
-    return sum(partial), shards
-
-
 def count_torsor(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
     """Exact N(B) by torsor enumeration with a scanned tau2 loop."""
     t0 = time.perf_counter()
-    n, shards = _count(B, False, threads, scheme)
-    return CountReport(B, n, "torsor", time.perf_counter() - t0, shards)
+    partial, shards = _sharded(_scan_part, _height(B), threads, scheme)
+    return CountReport(B, sum(partial), "torsor", time.perf_counter() - t0, shards)
 
 
 def count_torsor_fast(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
-    """Exact N(B) counting each admissible tau2 class without visiting its points."""
-    t0 = time.perf_counter()
-    n, shards = _count(B, True, threads, scheme)
-    return CountReport(B, n, "fast", time.perf_counter() - t0, shards)
+    """Exact N(B) counting each admissible tau2 class without visiting its
+    points: ``count_torsor_grid`` on the one height B."""
+    return count_torsor_grid([B], threads, scheme)[0]
 
 
 def count_torsor_grid(
@@ -664,18 +658,18 @@ def count_torsor_grid(
     """Exact N(B) for every B of heights, from one class-count pass at max(heights).
 
     heights may come in any order and repeat; there is one report per entry,
-    in the order given, each as ``count_torsor_fast`` would give it.  All
-    reports of a call share one pass: elapsed_s is the wall time of the
-    whole pass and parts its number of worker processes.
+    in the order given, with method "fast".  All reports of a call share one
+    pass: elapsed_s is the wall time of the whole pass and parts its number
+    of worker processes.  A max(heights) beyond the first xi tuple's int64
+    arrays raises before any worker starts (``_tau1_range``).
     """
     t0 = time.perf_counter()
     heights = [_height(B) for B in heights]
     if not heights:
         return []
     Bs = tuple(sorted(set(heights)))
-    partial, shards = _sharded(
-        _grid_part, lambda parts, part: (Bs, parts, part, scheme), threads
-    )
+    _tau1_range(Bs[-1], 1, 1, 1, Bs[-1], Bs[-1])
+    partial, shards = _sharded(_grid_part, Bs, threads, scheme)
     counts = dict(zip(Bs, map(sum, zip(*partial))))
     elapsed = time.perf_counter() - t0
     return [CountReport(B, counts[B], "fast", elapsed, shards) for B in heights]
@@ -683,14 +677,13 @@ def count_torsor_grid(
 
 def enumerate_torsor_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[TorsorPoint]:
     """All torsor points meeting the scheme and height conditions at B."""
-    for xi, t1, t2, tl, _, _, _ in _walk(B, scheme):
-        yield TorsorPoint(*xi, t1, t2, tl)
+    return (TorsorPoint(*xi, t1, t2, tl) for xi, t1, t2, tl, _, _, _ in _walk(B, scheme))
 
 
 def enumerate_points(B: int, scheme: CoprimalityScheme = T1_SCHEME) -> Iterator[RationalPoint]:
     """Surface points of height <= B as psi-images, each exactly once."""
-    for _, t1, t2, tl, x2, m0, m3 in _walk(B, scheme):
-        yield RationalPoint(m0 * t2, tl, x2, m3 * t1)
+    points = _walk(B, scheme)
+    return (RationalPoint(m0 * t2, tl, x2, m3 * t1) for _, t1, t2, tl, x2, m0, m3 in points)
 
 
 def counts_upto(Bmax: int, scheme: CoprimalityScheme = T1_SCHEME) -> list[int]:

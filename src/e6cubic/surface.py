@@ -145,26 +145,30 @@ def brute_points(B: int) -> Iterator[RationalPoint]:
 
     Each x2 takes its x3 rows in blocks of about _BLOCK_CELLS int64 cells,
     every x0 of a row at once.  |x2*x0^2 + x3^3| <= 2*B^3 must fit in int64,
-    so a larger B raises OverflowError on the first step, before anything
-    is allocated.
+    so a larger B raises OverflowError at the call, before anything is
+    allocated.
     """
     B = _height(B)
     if 2 * B**3 >= 1 << 63:
         raise OverflowError(f"height bound B = {B} is too large for the int64 brute scan")
-    x0 = np.arange(-B, B + 1, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // x0.size)
-    for x2 in range(1, B + 1):
-        x2x0sq = x2 * x0 * x0
-        step = _cube_divisor_step(x2)
-        x3s = np.arange(-(B // step) * step, B + 1, step, dtype=np.int64)
-        for start in range(0, x3s.size, rows):
-            x3 = x3s[start : start + rows]
-            x1, r = np.divmod(-(x2x0sq + (x3 * x3 * x3)[:, None]), x2 * x2)
-            i, j = np.nonzero((r == 0) & (np.abs(x1) <= B))  # row-major: x3, then x0
-            a0, a1, a3 = x0[j], x1[i, j], x3[i]
-            keep = np.gcd(np.gcd(a0, a1), np.gcd(a3, x2)) == 1
-            for c0, c1, c3 in zip(a0[keep].tolist(), a1[keep].tolist(), a3[keep].tolist()):
-                yield RationalPoint(c0, c1, x2, c3)
+
+    def scan():
+        x0 = np.arange(-B, B + 1, dtype=np.int64)
+        rows = max(1, _BLOCK_CELLS // x0.size)
+        for x2 in range(1, B + 1):
+            x2x0sq = x2 * x0 * x0
+            step = _cube_divisor_step(x2)
+            x3s = np.arange(-(B // step) * step, B + 1, step, dtype=np.int64)
+            for start in range(0, x3s.size, rows):
+                x3 = x3s[start : start + rows]
+                x1, r = np.divmod(-(x2x0sq + (x3 * x3 * x3)[:, None]), x2 * x2)
+                i, j = np.nonzero((r == 0) & (np.abs(x1) <= B))  # row-major: x3, then x0
+                a0, a1, a3 = x0[j], x1[i, j], x3[i]
+                keep = np.gcd(np.gcd(a0, a1), np.gcd(a3, x2)) == 1
+                for c0, c1, c3 in zip(a0[keep].tolist(), a1[keep].tolist(), a3[keep].tolist()):
+                    yield RationalPoint(c0, c1, x2, c3)
+
+    return scan()
 
 
 def brute_count(B: int) -> CountReport:

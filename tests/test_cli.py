@@ -25,10 +25,15 @@ class TestCount:
         assert all(r[1] == "7" for r in rows)
 
     def test_brute_beyond_int64_is_numeric_failure(self, capsys):
-        code, out, err = run_cli(capsys, "count", "--B", "2000000", "--method", "brute")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numeric failure: height bound B = 2000000 ")
+        # the brute scan's int64 cubes, and the class count's int64 arrays
+        for B, method, message in (
+            ("2000000", "brute", "height bound B = 2000000 "),
+            ("1e14", "fast", "height B = 100000000000000 is too large"),
+        ):
+            code, out, err = run_cli(capsys, "count", "--B", B, "--method", method)
+            assert code == 3
+            assert out == ""
+            assert err.startswith(f"numeric failure: {message}")
 
     def test_zero_bound_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,12 @@
 import collections
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from e6cubic import arith, counting, surface, torsor
-from e6cubic.counting import _count_part
 
 
 def scanned(B, scheme=torsor.T1_SCHEME):
@@ -284,9 +284,14 @@ class TestGrid:
 
     @TestClassCount.SCHEMES
     def test_matches_per_height_count(self, scheme, top):
-        grids = [self.SMALL_GRID] + (self.GRIDS if scheme in self.WIDE else [])
-        for heights in grids:
-            expected = {B: counting.count_torsor_fast(B, scheme=scheme).count for B in set(heights)}
+        # the small grid against the class walk, an independent count, and the
+        # wider grids against the grid on each of their heights alone
+        walk = counting.counts_upto(max(self.SMALL_GRID), scheme)
+        cases = [(self.SMALL_GRID, {B: walk[B] for B in self.SMALL_GRID})]
+        for heights in self.GRIDS if scheme in self.WIDE else []:
+            alone = {B: counting.count_torsor_fast(B, scheme=scheme).count for B in set(heights)}
+            cases.append((heights, alone))
+        for heights, expected in cases:
             for threads in (1, 2):
                 reports = counting.count_torsor_grid(heights, threads=threads, scheme=scheme)
                 assert [r.B for r in reports] == heights
@@ -329,17 +334,49 @@ class TestNegativeHeight:
             call()
 
 
+class TestOversizedHeight:
+    @pytest.mark.parametrize(
+        "B, call",
+        [
+            (10**14, lambda: counting.count_torsor_fast(10**14)),
+            (10**14, lambda: counting.count_torsor_grid([10**14], threads=2)),
+            (10**14, lambda: list(counting.enumerate_points(10**14))),
+            (10**12, lambda: counting.counts_upto(10**12)),
+            (2 * 10**6, lambda: surface.brute_counts_upto(2 * 10**6)),
+            (2**63, lambda: counting.count_torsor(2**63)),
+        ],
+        ids=[
+            "count_torsor_fast", "count_torsor_grid-2", "enumerate_points", "counts_upto",
+            "brute_counts_upto", "count_torsor",
+        ],
+    )
+    def test_refused_before_allocating(self, B, call, monkeypatch):
+        # nothing that grows with B is made and no pool starts: the class
+        # count's tables grow like sqrt(B), the histograms like B
+        monkeypatch.setattr(counting, "Pool", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match=f"B = {B} is too large"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
 class TestPartitioning:
     def test_partition_sums_to_total(self):
-        for B in (1, 150):
-            total = counting.count_torsor_fast(B).count
-            for fast in (True, False):
-                for parts in (2, 3, 5):
-                    sliced = sum(
-                        _count_part((B, fast, parts, p, torsor.T1_SCHEME))
-                        for p in range(parts)
-                    )
-                    assert sliced == total, (B, fast, parts)
+        # both shard workers, against the class walk: the scan's at one height,
+        # the grid's summed per height
+        grid = (0, 1, 2, 37, 100, 149, 150)
+        for scheme in (torsor.T1_SCHEME, torsor.T2_SCHEME):
+            walk = counting.counts_upto(150, scheme)
+            for parts in (2, 3, 5):
+                for B in (1, 150):
+                    sliced = sum(counting._scan_part((B, parts, p, scheme)) for p in range(parts))
+                    assert sliced == walk[B], (scheme, B, parts)
+                shards = [counting._grid_part((grid, parts, p, scheme)) for p in range(parts)]
+                assert [sum(col) for col in zip(*shards)] == [walk[B] for B in grid], (scheme, parts)
 
     def test_worker_pool_matches_sequential(self):
         lone = counting.count_torsor_fast(200).count
