@@ -7,6 +7,7 @@ sawtooth function.  Everything in this module is exact: values are ``int`` or
 ``Fraction``, never floats, so the counting identities hold as equalities.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,15 +116,9 @@ def _factor_into(n, counts):
     _factor_into(n // d, counts)
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Factor ``abs(n)`` into (prime, exponent) pairs with primes ascending.
-
-    Trial division handles the small primes; anything left is split with
-    Brent's rho after a deterministic primality check.  Zero is rejected.
-    """
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    n = abs(n)
+@functools.lru_cache(maxsize=1 << 14)
+def _factorization(n):
+    """factorize(n) for n > 0, as a tuple: one bounded memo serves every caller."""
     counts = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -136,20 +131,31 @@ def factorize(n: int) -> list[tuple[int, int]]:
             counts[p] = e
     if n > 1:
         _factor_into(n, counts)
-    return sorted(counts.items())
+    return tuple(sorted(counts.items()))
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Factor ``abs(n)`` into (prime, exponent) pairs with primes ascending.
+
+    Trial division takes the small primes, Brent's rho the rest after a
+    deterministic primality check.  Zero is rejected; each call returns a new list.
+    """
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    return list(_factorization(abs(n)))
 
 
 def is_squarefree(n: int) -> bool:
     if n == 0:
         return False
-    return all(e == 1 for _, e in factorize(n))
+    return all(e == 1 for _, e in _factorization(abs(n)))
 
 
 def omega_distinct(n: int) -> int:
     """Number of distinct prime factors."""
     if n < 1:
         raise ValueError("omega is defined for n >= 1")
-    return len(factorize(n))
+    return len(_factorization(n))
 
 
 def phi_star(n: int) -> Fraction:
@@ -230,8 +236,8 @@ def count_congruence_interval(b1, b2, a: int, q: int) -> CongruenceCount:
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    n1, d1 = Fraction(b1).as_integer_ratio()
-    n2, d2 = Fraction(b2).as_integer_ratio()
+    n1, d1 = (b1 if isinstance(b1, (int, Fraction)) else Fraction(b1)).as_integer_ratio()
+    n2, d2 = (b2 if isinstance(b2, (int, Fraction)) else Fraction(b2)).as_integer_ratio()
     if n1 * d2 > n2 * d1:
         raise ValueError("empty interval: b1 > b2")
     lo = -(-n1 // d1)  # ceil(b1)

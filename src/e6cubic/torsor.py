@@ -12,6 +12,7 @@ points to surface points; ``lift`` inverts it onto T2; ``phi``/``phi_prime``
 convert between the T1 and T2 normal forms prime by prime.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,11 +58,7 @@ F1_EXPONENTS = (2, 0, 1, 0, 0, 0, 0)  # coefficient of tau1^3
 
 
 def monomial(xi, exponents) -> int:
-    out = 1
-    for v, e in zip(xi, exponents):
-        if e:
-            out *= v**e
-    return out
+    return math.prod(map(pow, xi, exponents))
 
 
 def torsor_residual(coords) -> int:
@@ -180,29 +177,43 @@ T2_SCHEME = (
 )
 
 
-def _scheme_holds(values: dict, scheme: CoprimalityScheme) -> bool:
+@functools.lru_cache(maxsize=64)
+def _compiled(scheme: CoprimalityScheme, names: tuple) -> tuple:
+    """The scheme's flags on ``names``' indices: groups (i, later j coprime to i), squarefree i."""
+    groups = [
+        (i, tuple(j for j in range(i + 1, len(names)) if scheme.requires_coprime(a, names[j])))
+        for i, a in enumerate(names)
+    ]
+    squarefree = tuple(i for i, name in enumerate(names) if name in scheme.squarefree)
+    return tuple((i, js) for i, js in groups if js), squarefree
+
+
+def _scheme_holds(values, names: tuple, scheme: CoprimalityScheme) -> bool:
     """Every coprimality and squarefree flag of the scheme holds on ``values``.
 
-    ``values`` maps coordinate names to values; a flag that names a
-    coordinate missing from it is skipped.
+    ``values`` holds the coordinates ``names`` in order; flags naming others
+    are skipped.  gcd(v[i], prod of its partners v[j]) = 1 is the pairwise
+    test for all integers, 0 and negatives included: one gcd per group.
     """
-    for a, b in scheme.pairs:
-        if a in values and b in values and math.gcd(values[a], values[b]) != 1:
+    groups, squarefree = _compiled(scheme, names)
+    get = values.__getitem__
+    for i, partners in groups:
+        if math.gcd(values[i], math.prod(map(get, partners))) != 1:
             return False
-    for name in scheme.squarefree:
-        if name in values and not is_squarefree(values[name]):
+    for i in squarefree:
+        if not is_squarefree(values[i]):
             return False
     return True
 
 
 def satisfies_scheme(p: TorsorPoint, scheme: CoprimalityScheme) -> bool:
     """Check all pairwise coprimality and squarefreeness flags of a scheme."""
-    return _scheme_holds(dict(zip(ALL_NAMES, p.coords())), scheme)
+    return _scheme_holds(p.coords(), ALL_NAMES, scheme)
 
 
 def xi_scheme_satisfied(xi, scheme: CoprimalityScheme = T1_SCHEME) -> bool:
     """The xi-only part of a scheme, on a plain 7-tuple of positive integers."""
-    return _scheme_holds(dict(zip(XI_NAMES, xi)), scheme)
+    return _scheme_holds(xi, XI_NAMES, scheme)
 
 
 def psi(p: TorsorPoint) -> RationalPoint:

@@ -91,6 +91,19 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert arith.factorize(p * q) == [(p, 1), (q, 1)]
 
+    def test_memo_returns_a_new_list_each_call(self):
+        fac = arith.factorize(360)
+        fac.append((7, 1))
+        fac[0] = (11, 1)
+        assert arith.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert arith.factorize(-360) == [(2, 3), (3, 2), (5, 1)]
+        assert arith.factorize(-12) == [(2, 2), (3, 1)]
+        with pytest.raises(ValueError):
+            arith.factorize(0)
+
+    def test_memo_is_bounded(self):
+        assert arith._factorization.cache_info().maxsize is not None
+
 
 class TestMultiplicativeFunctions:
     def test_unit_values(self):
@@ -251,6 +264,14 @@ class TestCongruenceInterval:
     def test_fractional_endpoints(self):
         res = arith.count_congruence_interval(Fraction(1, 2), Fraction(5, 2), 1, 2)
         assert res.exact_count == 1
+
+    @pytest.mark.parametrize(
+        "b1, b2", [(1, 7), (Fraction(-7, 3), Fraction(22, 5)), (0.5, 9.25), ("-7/3", "22/5")]
+    )
+    def test_endpoint_types_agree_with_fractions(self, b1, b2):
+        # ints and Fractions give their ratios directly, anything else goes through Fraction
+        res = arith.count_congruence_interval(b1, b2, 2, 5)
+        assert res == arith.count_congruence_interval(Fraction(b1), Fraction(b2), 2, 5)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from e6cubic import arith, cli, counting, density, surface, torsor, verify
@@ -158,6 +159,50 @@ class TestConstant:
         assert "omega_inf evaluations disagree" in json.loads(out)["error"]
 
 
+def swap_lift(x):
+    """x, but the point (1, -2, 1, 1) in place of (4, -3, 8, 4): a lift fault at one point."""
+    return surface.RationalPoint(1, -2, 1, 1) if x.coords() == (4, -3, 8, 4) else x
+
+
+def fault_ids(faults):
+    """Test ids: a property's first fault by its name, a later one also by the attribute's."""
+    seen, ids = set(), []
+    for prop, _, name, _ in faults:
+        ids.append(f"{prop}-{name}" if prop in seen else prop)
+        seen.add(prop)
+    return ids
+
+
+def eta_worst_reference(q):
+    """max over units a mod q of #{x mod q: x^2 = a}, one modulus at a time."""
+    n = np.arange(1, q + 1, dtype=np.int64)
+    counts = np.bincount((n * n) % q, minlength=q)
+    coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    return int(counts[coprime].max()) if coprime.any() else 0
+
+
+class TestEtaTally:
+    QS = range(1, 2002, 2)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return [(q, eta_worst_reference(q)) for q in self.QS]
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_blocks_match_the_per_modulus_reference(self, monkeypatch, reference, block):
+        if block is not None:
+            monkeypatch.setattr(verify, "_ETA_BLOCK", block)
+        assert verify._eta_worst(self.QS) == reference
+
+    def test_unit_modulus_and_a_modulus_alone_in_its_block(self, monkeypatch):
+        assert verify._eta_worst([1]) == [(1, 1)]
+        q = verify._ETA_BLOCK + 1
+        assert verify._eta_worst([3, q, 5]) == [(3, 2), (q, eta_worst_reference(q)), (5, 2)]
+        monkeypatch.setattr(verify, "_ETA_BLOCK", 64)
+        qs = (63, 65, 1, 105)
+        assert verify._eta_worst(qs) == [(q, eta_worst_reference(q)) for q in qs]
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out, _ = run_cli(
@@ -187,6 +232,7 @@ class TestVerify:
     # breaks what that property, and no other, checks
     FAULTS = [
         ("bijection_round_trips", torsor, "phi_prime", lambda real: lambda p: p),
+        ("bijection_round_trips", torsor, "lift", lambda real: lambda x: real(swap_lift(x))),
         ("case_analysis_grid", torsor, "phi_matching_cases", lambda real: lambda *tup: []),
         (
             "congruence_identities", arith, "count_congruence_interval",
@@ -197,13 +243,27 @@ class TestVerify:
         ("eta_bound_odd_moduli", arith, "omega_distinct", lambda real: lambda n: 0),
     ]
 
-    @pytest.mark.parametrize("prop, module, name, fault", FAULTS, ids=[f[0] for f in FAULTS])
+    @pytest.mark.parametrize("prop, module, name, fault", FAULTS, ids=fault_ids(FAULTS))
     def test_injected_fault_fails_its_property(self, monkeypatch, prop, module, name, fault):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         results = verify.run_suite(B=40, congruence_samples=300, grid=6)
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == [prop]
         assert failed[0].failures > 0 and failed[0].detail
+
+    def test_lift_fault_fails_both_sides_of_the_round_trip(self, monkeypatch):
+        # the brute points reuse the walk's lifts: a wrong lift must still
+        # fail psi(lift(x)) == x there, not only lift(psi(t)) == t2
+        monkeypatch.setattr(torsor, "lift", lambda x, real=torsor.lift: real(swap_lift(x)))
+        checks, failures, detail = verify._bijection_checks(40)
+        assert failures == 2
+        assert "lift(psi(t)) mismatch at" in detail
+        assert "psi(lift(x)) != x at RationalPoint(x0=4, x1=-3, x2=8, x3=4)" in detail
+
+    @pytest.mark.parametrize("B", [40, 201])
+    def test_bijection_checks_five_per_point_and_two(self, B):
+        n = len(list(surface.brute_points(B)))
+        assert verify._bijection_checks(B) == (5 * n + 2, 0, "")
 
     def test_cli_reports_a_failing_property(self, capsys, monkeypatch):
         monkeypatch.setattr(arith, "omega_distinct", lambda n: 0)

@@ -1,9 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from e6cubic import surface, torsor
+from e6cubic import arith, surface, torsor
 from e6cubic.counting import enumerate_torsor_points
 
 
@@ -88,6 +89,83 @@ class TestSchemes:
         assert not torsor.satisfies_scheme(p, torsor.T1_SCHEME)
         q = units(xi1=2, tau2=1, tauL=-1)
         assert torsor.satisfies_scheme(q, torsor.T1_SCHEME)
+
+
+def naive_scheme_holds(values: dict, scheme) -> bool:
+    """The pairwise oracle: every flag of the scheme whose names are in ``values``."""
+    for a, b in scheme.pairs:
+        if a in values and b in values and math.gcd(values[a], values[b]) != 1:
+            return False
+    for name in scheme.squarefree:
+        if name in values and not arith.is_squarefree(values[name]):
+            return False
+    return True
+
+
+class Coords(tuple):
+    """Ten values standing in for a torsor point: the side conditions read only coords()."""
+
+    def coords(self):
+        return tuple(self)
+
+
+class TestSchemeOracle:
+    SCHEMES = [
+        torsor.T1_SCHEME,
+        torsor.T1_SCHEME.without_pair("xi1", "xi2"),
+        torsor.T1_SCHEME.without_pair("tau2", "xi4"),
+        torsor.T1_SCHEME.without_pair("tau1", "xiL"),
+        torsor.T1_SCHEME.with_pair("tau2", "xi6"),
+        torsor.T2_SCHEME,
+    ]
+
+    @staticmethod
+    def agree(values, scheme):
+        p = Coords(values)
+        want = naive_scheme_holds(dict(zip(torsor.ALL_NAMES, values)), scheme)
+        assert torsor.satisfies_scheme(p, scheme) == want, (values, scheme)
+        want_xi = naive_scheme_holds(dict(zip(torsor.XI_NAMES, values)), scheme)
+        assert torsor.xi_scheme_satisfied(values[:7], scheme) == want_xi, (values, scheme)
+        return want, want_xi
+
+    def test_random_tuples_match_the_pairwise_oracle(self):
+        # xi's of the primes 2, 3, 5 only, so they often share one; tau's of
+        # either sign, and 0, where gcd(0, n) = |n|
+        rng = random.Random(24)
+        outcomes = set()
+        for _ in range(3000):
+            xi = [
+                2 ** rng.choice((0, 0, 1, 2)) * 3 ** rng.choice((0, 0, 1)) * 5 ** rng.choice((0, 0, 0, 1))
+                for _ in range(7)
+            ]
+            tau = [rng.choice((0, 1, -1, rng.randrange(-30, 31))) for _ in range(3)]
+            for scheme in self.SCHEMES:
+                outcomes.add(self.agree(tuple(xi + tau), scheme))
+        assert outcomes == {(False, False), (False, True), (True, True)}
+
+    def test_enumerated_points_match_the_pairwise_oracle(self):
+        for t in itertools.islice(enumerate_torsor_points(60), 400):
+            for p in (t, torsor.phi(t)):
+                for scheme in self.SCHEMES:
+                    self.agree(p.coords(), scheme)
+
+    def test_one_pair_decides(self):
+        # units but a = b = 2 (b = 0 for a tau): only the pair (a, b) can fail
+        ones = dict.fromkeys(torsor.ALL_NAMES, 1)
+        for a, b in itertools.combinations(torsor.ALL_NAMES, 2):
+            values = tuple({**ones, a: 2, b: 0 if b.startswith("tau") else 2}.values())
+            without = torsor.T1_SCHEME.without_pair(a, b)
+            assert self.agree(values, without) == (True, True)
+            held = self.agree(values, without.with_pair(a, b))
+            assert held == (False, b.startswith("tau")), (a, b)
+
+    def test_squarefree_flag_decides(self):
+        for i, name in enumerate(torsor.XI_NAMES):
+            values = (1,) * i + (4,) + (1,) * (9 - i)
+            scheme = torsor.T1_SCHEME.with_squarefree(name)
+            assert self.agree(values, scheme) == (False, False)
+            if name not in torsor.T1_SCHEME.squarefree:
+                assert self.agree(values, torsor.T1_SCHEME) == (True, True)
 
 
 class TestPsi:
