@@ -74,6 +74,7 @@ from .torsor import (
     XI_NAMES,
     CoprimalityScheme,
     TorsorPoint,
+    _compiled,
 )
 
 __all__ = [
@@ -96,41 +97,24 @@ def _squarefree_table(limit):
     return flags
 
 
-def _scheme_tables(scheme):
-    """Precompute per-level filters for the xi nest and tau partner sets."""
-    for a, b in scheme.pairs:
-        if a in TAU_NAMES and b in TAU_NAMES:
-            raise NotImplementedError("tau-tau coprimality is not supported")
-    if any(name in TAU_NAMES for name in scheme.squarefree):
-        raise NotImplementedError("squarefree taus are not supported")
-    sf = [XI_NAMES[i] in scheme.squarefree for i in _LOOP_ORDER]
-    earlier = []
-    for pos, i in enumerate(_LOOP_ORDER):
-        checks = []
-        for prev in range(pos):
-            j = _LOOP_ORDER[prev]
-            if scheme.requires_coprime(XI_NAMES[i], XI_NAMES[j]):
-                checks.append(prev)
-        earlier.append(tuple(checks))
-    # 0/1 exponent vectors: monomial(xi, partners) is the product of the xi's
-    # a tau must be coprime to
-    tau_partners = []
-    for tau in TAU_NAMES:
-        names = scheme.coprime_partners(tau)
-        tau_partners.append(tuple(int(n in names) for n in XI_NAMES))
-    return sf, earlier, tau_partners
-
-
 def _xi_tuples(B, scheme):
     """Admissible xi-tuples (canonical order) with xi^LAMBDA <= B, as an iterator.
 
-    Applies the xi conditions of the scheme incrementally.  Every count and
-    enumeration starts here, so a negative B, or one beyond the int64
-    monomials of ``_frames``, raises here, at the call, before any table.
+    Applies the xi conditions of the scheme incrementally: level L checks
+    each earlier level whose group in ``_compiled`` lists L.  Every count and
+    enumeration starts here, so a negative B, one beyond the int64 monomials
+    of ``_frames``, or a tau-tau pair or squarefree tau raises here, at the
+    call, before any table.
     """
     if _height(B) >= 1 << 63:
         raise OverflowError(f"height B = {B} is too large for the int64 monomials")
-    sf, earlier, _ = _scheme_tables(scheme)
+    tau_groups, tau_squarefree = _compiled(scheme, TAU_NAMES)
+    if tau_groups:
+        raise NotImplementedError("tau-tau coprimality is not supported")
+    if tau_squarefree:
+        raise NotImplementedError("squarefree taus are not supported")
+    groups, squarefree = _compiled(scheme, tuple(XI_NAMES[i] for i in _LOOP_ORDER))
+    earlier = [tuple(i for i, js in groups if level in js) for level in range(7)]
     sqfree = _squarefree_table(math.isqrt(B) + 1)
     exps = tuple(LAMBDA[i] for i in _LOOP_ORDER)
     vals = [1] * 7  # in loop order
@@ -142,7 +126,7 @@ def _xi_tuples(B, scheme):
             return
         e = exps[level]
         checks = earlier[level]
-        squarefree_needed = sf[level]
+        squarefree_needed = level in squarefree
         v = 1
         while True:
             m = mono * v**e
@@ -158,23 +142,24 @@ def _xi_tuples(B, scheme):
     return rec(0, 1) if B >= 1 else iter(())
 
 
-_FRAME_CHUNK = 1 << 10  # xi tuples whose monomials _frames forms in one array pass
-
-
 def _frames(B, scheme, xis=None):
     """Yield, per xi tuple of xis (default: all), the data of its tau loops.
 
     (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max), where
     fl and f1 are the coefficients of tauL and tau1^3 in the equation and
     c1, c2, cl the products of the xi's that tau1, tau2, tauL must be
-    coprime to.  The eight monomials of a chunk of xi tuples come from one
-    int64 pass; each exponent is at most LAMBDA's, so every monomial and
-    partial product is at most x2 <= B < 2^63, as ``_xi_tuples`` checks.
+    coprime to, read off ``_compiled`` on the xi's and taus.  The eight
+    monomials of a batch of xi tuples (``_batches``) come from one int64
+    pass; each exponent is at most LAMBDA's, so every monomial and partial
+    product is at most x2 <= B < 2^63, as ``_xi_tuples`` checks.
     """
-    _, _, partners = _scheme_tables(scheme)
-    xis = iter(_xi_tuples(B, scheme) if xis is None else xis)
+    later = dict(_compiled(scheme, XI_NAMES + TAU_NAMES)[0])
+    # 0/1 exponent vectors: monomial(xi, partners) is the product of the xi's
+    # a tau must be coprime to
+    partners = [[int(j in later.get(i, ())) for i in range(7)] for j in range(7, 10)]
+    xis = _xi_tuples(B, scheme) if xis is None else xis
     exps = np.array((LAMBDA, X0_EXPONENTS, X3_EXPONENTS, FL_EXPONENTS, F1_EXPONENTS, *partners))
-    while chunk := list(islice(xis, _FRAME_CHUNK)):
+    for chunk in _batches((xi, 1, 1) for xi in xis):
         monos = np.prod(np.array(chunk, np.int64)[:, None, :] ** exps, axis=2).tolist()
         for xi, (x2, m0, m3, fl, f1, c1, c2, cl) in zip(chunk, monos):
             yield xi, x2, m0, m3, fl, f1, c1, c2, cl, B // m3, B // m0
@@ -318,22 +303,18 @@ def _root_slices(targets, fl):
     return r[order], np.searchsorted(r_sq, targets, "left"), np.searchsorted(r_sq, targets, "right")
 
 
-_ROOT_ROWS = 1 << 13  # rows of a table of square roots made by _prime_square_roots
-
-
 def _prime_square_roots(p, a):
     """(n, 2) int64: the square roots of a[i] modulo the prime p[i], the one
     below p[i]/2 in column 0, for int64 arrays p and a with 0 <= a < p; -1
     where there are fewer than two (0 has one root, and so has 1 mod 2).
 
     Squares every residue of each distinct p into one table, indexed by the
-    prime's first row plus the square, a group of primes of about
-    _ROOT_ROWS rows at a time.
+    prime's first row plus the square, a batch of primes (``_batches``) at a
+    time.
     """
     out = np.full((p.size, 2), -1)
-    primes = np.unique(p)
-    group = np.cumsum(primes) // _ROOT_ROWS
-    for q in (primes[group == g] for g in np.unique(group)):
+    for q in _batches((q, q, 1) for q in np.unique(p).tolist()):
+        q = np.array(q, np.int64)
         at = np.cumsum(q) - q  # the first row of each prime
         s, qs = np.arange(q.sum()) - np.repeat(at, q), np.repeat(q, q)
         table = np.full((s.size, 2), -1)
@@ -448,13 +429,16 @@ def _k_windows(lo, hi, fl, vis, r):
     return k_lo, q[vis] - (rem[vis] < r[:, None])  # floor((hi - r) / fl)
 
 
-_BATCH = 1 << 12  # tau1 values of a visit chunk, classes times heights of a class batch
+# the cap of every packed array pass: xi tuples of a frame batch, tau1 values
+# of a visit chunk, classes times heights of a class batch, residues of a
+# prime-root table and of a block of verify's eta tally
+_BATCH = 1 << 12
 
 
 def _batches(sized):
     """Lists of consecutive items of sized, an iterable of (item, n, w): the
     n of a list times its largest w is at most _BATCH, or the list is one
-    item."""
+    item.  The one packer of every capped array pass."""
     batch, total, wide = [], 0, 0
     for item, n, w in sized:
         if batch and (total + n) * max(wide, w) > _BATCH:

@@ -21,7 +21,6 @@ __all__ = ["PropertyResult", "run_suite"]
 
 # the eta bound is checked over the odd moduli up to this one
 _ETA_QMAX = 2001
-_ETA_BLOCK = 1 << 12  # residues per block of the eta tally; 2^16 raised verify's peak RSS
 
 
 @dataclass(frozen=True)
@@ -115,16 +114,13 @@ def _congruence_checks(samples, seed):
 
 def _eta_worst(qs):
     """(q, max over gcd(a, q) = 1 of eta(a; q)) for each odd q of qs.  Blocks of
-    consecutive moduli hold at most _ETA_BLOCK residues (a larger q is alone);
-    q's row there tallies the squares of 0..q-1 in one bincount, less the
-    multiples of q's primes, and one maximum.reduceat takes each row's worst."""
-    blocks = []
-    for q in qs:
-        if not blocks or sum(blocks[-1]) + q > _ETA_BLOCK:
-            blocks.append([])
-        blocks[-1].append(q)
+    consecutive moduli hold at most counting._BATCH residues, as
+    ``counting._batches`` packs them (a larger q is alone); q's row there
+    tallies the squares of 0..q-1 in one bincount, less the multiples of q's
+    primes, and one maximum.reduceat takes each row's worst.  A block of 2^16
+    residues raised verify's peak RSS."""
     worst = []
-    for block in blocks:
+    for block in counting._batches((q, q, 1) for q in qs):
         sizes = np.array(block, dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         row = np.repeat(starts, sizes)  # each slot's row start

@@ -194,8 +194,8 @@ class TestSqrtMod:
         assert (np.diff(roots)[owner[1:] == owner[:-1]] > 0).all()
 
     def test_prime_square_roots_in_groups(self, monkeypatch):
-        # tables of about 64 rows: small primes share one, the larger have one each
-        monkeypatch.setattr(counting, "_ROOT_ROWS", 64)
+        # tables of at most 64 rows: small primes share one, the larger have one each
+        monkeypatch.setattr(counting, "_BATCH", 64)
         primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))]
         p = np.array([q for q in primes for _ in range(q)])
         a = np.array([x for q in primes for x in range(q)])

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,14 +193,14 @@ class TestEtaTally:
     @pytest.mark.parametrize("block", [None, 64])
     def test_blocks_match_the_per_modulus_reference(self, monkeypatch, reference, block):
         if block is not None:
-            monkeypatch.setattr(verify, "_ETA_BLOCK", block)
+            monkeypatch.setattr(counting, "_BATCH", block)
         assert verify._eta_worst(self.QS) == reference
 
     def test_unit_modulus_and_a_modulus_alone_in_its_block(self, monkeypatch):
         assert verify._eta_worst([1]) == [(1, 1)]
-        q = verify._ETA_BLOCK + 1
+        q = counting._BATCH + 1
         assert verify._eta_worst([3, q, 5]) == [(3, 2), (q, eta_worst_reference(q)), (5, 2)]
-        monkeypatch.setattr(verify, "_ETA_BLOCK", 64)
+        monkeypatch.setattr(counting, "_BATCH", 64)
         qs = (63, 65, 1, 105)
         assert verify._eta_worst(qs) == [(q, eta_worst_reference(q)) for q in qs]
 
@@ -516,3 +518,17 @@ class TestBRangeParser:
         for spec in ("5", "10:1:geometric:5", "1:10:exp:5", "0:10:linear:5", "1:inf:geometric:3"):
             with pytest.raises(ValueError):
                 cli.parse_b_range(spec)
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # every example line of README's CLI block is a valid command line
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        examples = [
+            shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("e6cubic ")
+        ]
+        assert examples
+        parser, _, _ = cli.build_parser()
+        for argv in examples:
+            assert parser.parse_args(argv[1:]).command == argv[1], argv

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e6cubic import arith, counting, surface, torsor
 
@@ -131,10 +133,14 @@ class TestClassCount:
 
     @SCHEMES
     def test_frames_match_monomials(self, scheme, top, monkeypatch):
-        # torsor.monomial is the scalar definition; chunks of 7 xi tuples
-        # put many tuples at a chunk's end
-        monkeypatch.setattr(counting, "_FRAME_CHUNK", 7)
-        _, _, partners = counting._scheme_tables(scheme)
+        # torsor.monomial is the scalar definition, and the tau partner
+        # vectors come from the scheme's own coprime_partners; batches of 7
+        # xi tuples put many tuples at a batch's end
+        monkeypatch.setattr(counting, "_BATCH", 7)
+        partners = [
+            [int(name in scheme.coprime_partners(tau)) for name in torsor.XI_NAMES]
+            for tau in torsor.TAU_NAMES
+        ]
         exps = (torsor.LAMBDA, torsor.X0_EXPONENTS, torsor.X3_EXPONENTS,
                 torsor.FL_EXPONENTS, torsor.F1_EXPONENTS, *partners)
         frames = list(counting._frames(top, scheme))
@@ -142,6 +148,27 @@ class TestClassCount:
         for xi, *monos, t1max, t2max in frames:
             want = [torsor.monomial(xi, e) for e in exps]
             assert (monos, t1max, t2max) == (want, top // want[2], top // want[1]), xi
+
+    @staticmethod
+    def boxed_xi_tuples(B, scheme):
+        """Every 7-tuple with xi^LAMBDA <= B that xi_scheme_satisfied accepts,
+        by a plain box recursion, xi6 outermost and xi1 innermost."""
+
+        def box(i, tail, mono):  # tail = (xi_{i+1}, ..., xi6)
+            if i < 0:
+                yield tail
+                return
+            v = 1
+            while mono * v ** torsor.LAMBDA[i] <= B:
+                yield from box(i - 1, (v,) + tail, mono * v ** torsor.LAMBDA[i])
+                v += 1
+
+        return [xi for xi in box(6, (), 1) if torsor.xi_scheme_satisfied(xi, scheme)]
+
+    @SCHEMES
+    def test_xi_tuples_match_their_definition(self, scheme, top):
+        for B in (1, 37, 500, 2000, 10**4):
+            assert list(counting._xi_tuples(B, scheme)) == self.boxed_xi_tuples(B, scheme), B
 
     @SCHEMES
     def test_matches_class_walk_per_visit(self, scheme, top):
@@ -235,6 +262,24 @@ class TestClassCount:
         sized = [("a", 2, 1), ("b", 3, 2), ("c", 1, 4), ("d", 1, 1), ("e", 1, 10), ("f", 0, 11)]
         assert list(counting._batches(sized)) == [["a", "b"], ["c", "d"], ["e"], ["f"]]
         assert list(counting._batches([("g", 3, 3), ("h", 1, 1)])) == [["g"], ["h"]]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=30),
+        st.integers(-1, 300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batches_pack_greedily_under_the_cap(self, sizes, cap):
+        sized = [(k, n, w) for k, (n, w) in enumerate(sizes)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "_BATCH", cap)
+            batches = list(counting._batches(sized))
+        assert [k for batch in batches for k in batch] == list(range(len(sized)))
+        for batch, after in zip(batches, batches[1:] + [None]):
+            total, wide = sum(sizes[k][0] for k in batch), max(sizes[k][1] for k in batch)
+            assert len(batch) == 1 or total * wide <= cap, batch
+            if after:  # the next item would not have fit
+                n, w = sizes[after[0]]
+                assert (total + n) * max(wide, w) > cap, (batch, after)
 
     @SCHEMES
     def test_counts_do_not_depend_on_batches(self, scheme, top, monkeypatch):
@@ -456,10 +501,28 @@ class TestSchemeInjection:
             == 1477
         )
 
-    def test_tau_tau_pairs_unsupported(self):
-        weird = torsor.T1_SCHEME.with_pair("tau1", "tau2")
-        with pytest.raises(NotImplementedError):
-            counting.count_torsor(10, scheme=weird)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda s: counting.count_torsor(10, scheme=s),
+            lambda s: counting.count_torsor_fast(10, scheme=s),
+            lambda s: counting.count_torsor_grid([5, 10], threads=2, scheme=s),
+            lambda s: list(counting.enumerate_points(10, s)),
+            lambda s: counting.counts_upto(10, s),
+        ],
+        ids=["count_torsor", "count_torsor_fast", "count_torsor_grid", "enumerate_points", "counts_upto"],
+    )
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            (torsor.T1_SCHEME.with_pair("tau1", "tau2"), "tau-tau coprimality is not supported"),
+            (torsor.T1_SCHEME.with_squarefree("tau2"), "squarefree taus are not supported"),
+        ],
+        ids=["tau-tau", "squarefree-tau"],
+    )
+    def test_tau_tau_pairs_unsupported(self, entry, scheme, message):
+        with pytest.raises(NotImplementedError, match=f"^{message}$"):
+            entry(scheme)
 
 
 class TestMonotonicity:
