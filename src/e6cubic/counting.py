@@ -60,6 +60,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 import numpy as np
+import numpy.ma  # np.unique reads it, and numpy loads it lazily: load it before a pool forks
 
 from .arith import _primes_upto, factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
@@ -170,7 +171,8 @@ def _tau2_windows(bfl, A, xi2, t2max):
 
     |tauL| <= B, i.e. |tau2^2*xi2 + A| <= bfl, and the x0 bound
     |tau2| <= t2max hold iff lo <= |tau2| <= hi.  lo > hi when no tau2
-    qualifies, and hi = -1 when A > bfl.  bfl + |A| must stay below 2^62.
+    qualifies, and hi = -1 when A > bfl.  bfl + |A| must stay below 3 * 2^61,
+    as it does under the height limit (``_class_height``).
     """
     num = bfl - A
     hi = np.where(num < 0, -1, np.minimum(_isqrt_array(np.maximum(num, 0) // xi2), t2max))
@@ -191,15 +193,38 @@ def _icbrt(n):
 
 
 def _isqrt_array(n):
-    """floor(sqrt(n)) of each entry of an int64 array n with 0 <= n < 2^62.
+    """floor(sqrt(n)) of each entry of an int64 array n with 0 <= n < 3 * 2^61.
 
-    The float root is within 1 of the exact one there, and one exact int64
-    step each way corrects it.
+    Two roundings of relative size 2^-53, of n and of its root, leave the
+    float root of n < 2^63 within 1e-6 of the exact one, so its floor is
+    within 1 of floor(sqrt(n)), and one exact int64 step each way corrects
+    it; the largest square formed, (floor(sqrt(n)) + 1)^2 < n + 2^33, stays
+    below 2^63.
     """
     s = np.sqrt(n.astype(np.float64)).astype(np.int64)
     s -= s * s > n
     s += (s + 1) * (s + 1) <= n
     return s
+
+
+# The one height limit of the class walk and the class count, B^2 < 2^61.
+# Every xi tuple with x2 <= B has fl <= x2 <= B, as FL_EXPONENTS <= LAMBDA
+# entry by entry, and t2max = B // m0 with m0 >= xi2^2, so _tau1_range's
+# a_max = B*fl + t2max^2*xi2 <= 2B^2 < 2^62 bounds |A|, and the tau2 window
+# numerators B*fl + |A| stay below 3B^2 < 3 * 2^61 (_tau2_windows).  Every
+# LAMBDA entry is at least 2, so the product of the xi's is at most sqrt(B),
+# and so are the product of the primes of c2*cl and the largest of them: the
+# product times the largest is at most B (_avoiding_counts).  A prime p of
+# fl divides xiL, xi4 or xi5, so fl*p*xi2 <= x2*xiL <= B^(4/3)
+# (_class_counts).  The tuple (1, 1, 1, floor(B^(1/3)), 1, 1, 1) has a_max
+# near 2B^2, so the limit is tight for this proof.
+_MAX_CLASS_HEIGHT = math.isqrt((1 << 61) - 1)  # 1,518,500,249
+
+
+def _class_height(B):
+    """Check B as a height bound of the class walk or count: OverflowError above the limit."""
+    if _height(B) > _MAX_CLASS_HEIGHT:
+        raise OverflowError(f"height B = {B} is too large for the int64 tau1 arrays")
 
 
 def _tau1_range(B, xi2, fl, f1, t1max, t2max):
@@ -208,13 +233,11 @@ def _tau1_range(B, xi2, fl, f1, t1max, t2max):
 
     A visit has a tau2 window (``_tau2_windows``) with hi >= 0, i.e.
     A = tau1^3 * f1 <= B*fl, and lo <= t2max, i.e. -A <= B*fl + t2max^2*xi2,
-    so each sign of tau1 ends at an exact cube root, and |A| and the window
-    numerators stay inside int64; OverflowError where they would not.
+    so each sign of tau1 ends at an exact cube root.  Under the height limit
+    (``_MAX_CLASS_HEIGHT``) |A| and the window numerators fit in int64.
     """
     bfl = B * fl
     a_max = bfl + t2max * t2max * xi2
-    if a_max >= 1 << 62:  # |A| <= a_max, and B*fl - A, B*fl + A must fit in int64
-        raise OverflowError(f"height B = {B} is too large for the int64 tau1 arrays")
     return min(t1max, _icbrt(bfl // f1)), min(t1max, _icbrt(a_max // f1))
 
 
@@ -326,9 +349,9 @@ def _prime_square_roots(p, a):
 
 def _walk(B, scheme):
     """An iterator of (xi, tau1, tau2, tauL, x2, x0_unit, x3_unit) over all
-    solutions, visit by visit in the order of ``_visit_chunks``; a B beyond
-    the first xi tuple's int64 arrays raises at the call (``_tau1_range``)."""
-    _tau1_range(_height(B), 1, 1, 1, B, B)
+    solutions, visit by visit in the order of ``_visit_chunks``; a B above
+    the height limit raises at the call (``_class_height``)."""
+    _class_height(B)
     gcd = math.gcd
 
     def solutions():
@@ -388,7 +411,8 @@ def _avoiding_counts(k_lo, k_hi, grp, primes, bad):
     with all its refinements, so the terms stay near the number of classes.
     Every term counts its k in every column at once; a class's own term,
     with step 1, counts them without a division.  The int64 arithmetic is
-    exact while a class's primes times its largest stay below 2^62.
+    exact while a class's primes times its largest stay below 2^62, as they
+    do under the height limit (``_MAX_CLASS_HEIGHT``).
     """
     top = k_hi[:, -1]
     cls = np.arange(len(k_lo))  # the class of each term, its own term first
@@ -479,20 +503,13 @@ def _class_counts(hs, frames, visits):
     per visit; for p | fl, k -> tauL is affine mod p, solved with a table of
     inverses mod p.  Each prime has one table per batch.  tau2 = 0 and
     tauL = 0 fall in every bad set, as gcd(0, c) = c demands.  The int64
-    arithmetic is exact while the product of a tuple's primes times the
-    largest, and fl*p*xi2 for each p | fl, stay below 2^62; otherwise
-    OverflowError.
+    arithmetic is exact under the height limit (``_MAX_CLASS_HEIGHT``): the
+    product of a tuple's primes times the largest is at most B, and
+    fl*p*xi2 <= B^(4/3) for each p | fl.
     """
     tup, t1, A, roots, first, last = visits
-    B = int(hs[-1])
-    prime_sets, rows = [], []
-    for xi, x2, m0, m3, fl, _, _, c2, cl, _, _ in frames:
-        primes = [p for p, _ in factorize(c2 * cl)]
-        big = math.prod(primes) * max(primes, default=1) >= 1 << 62
-        if big or any(fl * p * xi[1] >= 1 << 62 for p in primes if fl % p == 0):
-            raise OverflowError(f"height B = {B} is too large for the int64 class arrays")
-        prime_sets.append(primes)
-        rows.append((fl, xi[1], m0, m3, x2, c2, cl))
+    prime_sets = [[p for p, _ in factorize(f[7] * f[8])] for f in frames]
+    rows = [(fl, xi[1], m0, m3, x2, c2, cl) for xi, x2, m0, m3, fl, _, _, c2, cl, _, _ in frames]
     fl, xi2, m0, m3, x2, c2, cl = np.array(rows, np.int64)[tup].T  # of each visit
     # class c has root r[c] and visit vis[c]; the classes of a visit are contiguous
     size = last - first
@@ -644,15 +661,15 @@ def count_torsor_grid(
     heights may come in any order and repeat; there is one report per entry,
     in the order given, with method "fast".  All reports of a call share one
     pass: elapsed_s is the wall time of the whole pass and parts its number
-    of worker processes.  A max(heights) beyond the first xi tuple's int64
-    arrays raises before any worker starts (``_tau1_range``).
+    of worker processes.  A height above the limit raises before any worker
+    starts (``_class_height``).
     """
     t0 = time.perf_counter()
     heights = [_height(B) for B in heights]
     if not heights:
         return []
     Bs = tuple(sorted(set(heights)))
-    _tau1_range(Bs[-1], 1, 1, 1, Bs[-1], Bs[-1])
+    _class_height(Bs[-1])
     partial, shards = _sharded(_grid_part, Bs, threads, scheme)
     counts = dict(zip(Bs, map(sum, zip(*partial))))
     elapsed = time.perf_counter() - t0

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-from scipy.special import hyp2f1
 
 from .arith import _primes_upto, is_prime, phi_star
 from .torsor import LAMBDA, T1_SCHEME, xi_scheme_satisfied
@@ -62,6 +60,13 @@ ALPHA = Fraction(1, 6220800)
 BETA = Fraction(1)
 
 
+def _scipy_quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: counts never load scipy."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def quad(func, a, b, points=(), **kwargs):
     """scipy.integrate.quad, one call per piece of [a, b], with its warnings
     silenced; returns the summed value and the summed error estimate.
@@ -73,6 +78,8 @@ def quad(func, a, b, points=(), **kwargs):
     warnings, which at the tolerances used here, and on pieces as narrow as
     1e-17, fire routinely and harmlessly.
     """
+    from scipy.integrate import IntegrationWarning
+
     ends = [a, *sorted({p for p in points if a < p < b}), b]
     value = error = 0.0
     with warnings.catch_warnings():
@@ -263,6 +270,8 @@ def g2(v):
 
     so the v^7 terms cancel and g2 = 2C - 4v - (20/351) v^13 + O(v^19).
     """
+    from scipy.special import hyp2f1
+
     v = np.asarray(v, dtype=float)
     if not np.all((v > 0.0) & (v <= 1.0)):
         raise ValueError("v must lie in (0, 1]")

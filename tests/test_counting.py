@@ -120,11 +120,33 @@ class TestClassCount:
             keys = [key for k, key in enumerate(keys) if k == 0 or key != keys[k - 1]]
             assert keys == sorted(set(keys)), B
 
-    def test_visits_refuse_heights_beyond_int64(self):
-        # xi = (1, ..., 1): B*fl + t2max^2*xi2 = B + B^2 >= 2^62
-        B = 2**31
-        with pytest.raises(OverflowError, match=f"B = {B}"):
-            counting._tau1_range(B, 1, 1, 1, B, B)
+    @SCHEMES
+    def test_tau1_arrays_fit_under_the_height_limit(self, scheme, top):
+        # _MAX_CLASS_HEIGHT's bound: a_max = B*fl + t2max^2*xi2 <= 2B^2 for
+        # every xi tuple, so |A| <= 2B^2 and the window numerators B*fl + |A|
+        # stay at most 3B^2
+        for B in (b for b in self.HEIGHTS if b <= top):
+            for xi, _, _, _, fl, f1, _, _, _, t1max, t2max in counting._frames(B, scheme):
+                a_max = B * fl + t2max * t2max * xi[1]
+                assert a_max <= 2 * B * B, (B, xi)
+                _, neg = counting._tau1_range(B, xi[1], fl, f1, t1max, t2max)
+                assert B * fl + neg**3 * f1 <= 3 * B * B, (B, xi)
+        # the tuple that nearly attains it, at the limit, without counting
+        B = counting._MAX_CLASS_HEIGHT
+        xi = (1, 1, 1, counting._icbrt(B), 1, 1, 1)
+        [(_, _, _, _, fl, _, _, _, _, _, t2max)] = counting._frames(B, torsor.T1_SCHEME, [xi])
+        a_max = B * fl + t2max * t2max * xi[1]
+        assert 1.99 * B * B < a_max < 1 << 62
+
+    def test_isqrt_is_exact_below_three_times_two_to_the_61(self):
+        # the window numerators reach 3B^2 < 3 * 2^61 under the height limit
+        top = 3 << 61
+        k = math.isqrt(top - 1)
+        rng = random.Random(5)
+        n = [s * s + d for s in range(k - 50, k + 1) for d in (-1, 0, 1)]
+        n += [rng.randrange(1 << 62, top) for _ in range(2000)] + [top - 1, 0, 1]
+        n = [x for x in n if 0 <= x < top]
+        assert counting._isqrt_array(np.array(n, np.int64)).tolist() == [math.isqrt(x) for x in n]
 
     def test_frames_refuse_heights_beyond_int64(self):
         B = 2**63
@@ -294,25 +316,17 @@ class TestClassCount:
             assert passes == 1
             assert together == alone, Bs
 
-    def test_class_count_refuses_frames_beyond_int64(self, monkeypatch):
-        # (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max) at B = 1:
-        # a prime p of fl = c2 with fl*p*xi2 >= 2^62, then primes of c2 whose
-        # product is >= 2^62, each alone and in one batch after the frame of B = 1
-        p = 1_000_003
-        tied = ((1, 2**23, 1, 1, 1, 1, 1), 1, 1, 1, p, 1, 1, p, 1, 1, 1)
-        product = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
-        free = ((1,) * 7, 1, 1, 1, 1, 1, 1, product, 1, 1, 1)
-        [benign] = counting._frames(1, torsor.T1_SCHEME)
-        monkeypatch.setattr(counting, "_BATCH", 1 << 62)
-
-        def counted(frames):
-            monkeypatch.setattr(counting, "_frames", lambda B, scheme, xis: iter(frames))
-            return [ns.sum() for _, _, ns in counting._grid_class_counts((1,), torsor.T1_SCHEME)]
-
-        assert counted([benign]) == [7]
-        for frames in ([tied], [free], [benign, tied], [benign, free]):
-            with pytest.raises(OverflowError, match="B = 1 "):
-                counted(frames)
+    @SCHEMES
+    def test_class_arrays_fit_under_the_height_limit(self, scheme, top):
+        # _MAX_CLASS_HEIGHT's bound on the class arrays: the primes of c2*cl
+        # times the largest is at most B, and fl*p*xi2 <= x2*xiL <= B^(4/3)
+        # for each prime p of fl
+        for B in (b for b in self.HEIGHTS if b <= top):
+            for xi, x2, _, _, fl, _, _, c2, cl, _, _ in counting._frames(B, scheme):
+                primes = [p for p, _ in arith.factorize(c2 * cl)]
+                assert math.prod(primes) * max(primes, default=1) <= B, (B, xi)
+                for p in (p for p, _ in arith.factorize(fl)):
+                    assert fl * p * xi[1] <= x2 * xi[3] and (x2 * xi[3]) ** 3 <= B**4, (B, xi)
 
 
 class TestGrid:
@@ -396,17 +410,58 @@ class TestOversizedHeight:
         ],
     )
     def test_refused_before_allocating(self, B, call, monkeypatch):
-        # nothing that grows with B is made and no pool starts: the class
-        # count's tables grow like sqrt(B), the histograms like B
-        monkeypatch.setattr(counting, "Pool", None)
-        tracemalloc.start()
-        try:
-            with pytest.raises(OverflowError, match=f"B = {B} is too large"):
-                call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
+        refused_at_the_call(B, call, monkeypatch)
+
+    ABOVE = 1_518_500_250  # the proven limit, plus 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda B: counting.count_torsor_fast(B),
+            lambda B: counting.count_torsor_grid([1, B, 2], threads=2),
+            lambda B: list(counting.enumerate_points(B)),
+            lambda B: counting.counts_upto(B),
+        ],
+        ids=["count_torsor_fast", "count_torsor_grid-2", "enumerate_points", "counts_upto"],
+    )
+    def test_refused_just_above_the_limit(self, call, monkeypatch):
+        # the old first-tuple check let heights from about 1.519e9 to 2^31
+        # start and fail partway through; a count that starts fails at once
+        def started(*args):
+            raise AssertionError("the count started")
+
+        monkeypatch.setattr(counting, "_visit_chunks", started)
+        refused_at_the_call(self.ABOVE, lambda: call(self.ABOVE), monkeypatch)
+
+    def test_limit_is_accepted_at_the_call(self, monkeypatch):
+        # 2B^2 < 2^62 at the limit and not above; the class count reaches its
+        # shards and the walk returns its iterator, neither started here
+        B = counting._MAX_CLASS_HEIGHT
+        assert B == 1_518_500_249 and 2 * B * B < 1 << 62 <= 2 * (B + 1) ** 2
+        sharded = []  # the stub's one shard counts each height as itself
+        monkeypatch.setattr(
+            counting, "_sharded", lambda worker, Bs, threads, scheme: sharded.append(Bs) or ([Bs], 1)
+        )
+        assert counting.count_torsor_fast(B).count == B
+        assert [r.count for r in counting.count_torsor_grid([B, 1], threads=2)] == [B, 1]
+        assert sharded == [(B,), (1, B)]
+        counting.enumerate_points(B)
+        counting.enumerate_torsor_points(B)
+
+
+def refused_at_the_call(B, call, monkeypatch):
+    """call() raises OverflowError for B, having made nothing that grows with
+    B and started no pool: the class count's tables grow like sqrt(B), the
+    histograms like B."""
+    monkeypatch.setattr(counting, "Pool", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match=f"B = {B} is too large"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 class TestPartitioning:

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -23,3 +27,23 @@ def test_every_public_name_of_the_package_is_exported_by_its_module():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - exported) == []
+
+
+def test_counts_walks_and_verify_never_load_scipy():
+    # scipy serves the constant's quadratures only, imported on first use; a
+    # fresh interpreter shows what the package itself loads
+    script = """
+import sys
+import e6cubic
+from e6cubic import cli, counting, density
+assert cli.main(["count", "--B", "1000", "--method", "fast"]) == 0
+list(counting.enumerate_points(60))
+assert cli.main(["verify", "--B", "40", "--samples", "100", "--grid", "2"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+density.peyre_constant(1000)
+assert "scipy" in sys.modules
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
