@@ -288,16 +288,17 @@ def _read_counts_csv(path):
 
 
 def _cmd_fit(args):
-    if args.counts:
-        samples = _read_counts_csv(args.counts)
-    elif args.B_range:
-        samples = []
-        for rep in counting.count_torsor_grid(args.B_range, threads=args.threads):
-            print(f"counted B={rep.B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
-            samples.append((rep.B, rep.count))
-    else:
+    if not (args.counts or args.B_range):
         raise _UsageError("fit needs --counts or --B-range")
     try:
+        if args.counts:
+            samples = _read_counts_csv(args.counts)
+        else:
+            _fit_points((b, 1) for b in args.B_range)  # reject the grid before counting it
+            samples = []
+            for rep in counting.count_torsor_grid(args.B_range, threads=args.threads):
+                print(f"counted B={rep.B}: {rep.count} ({rep.elapsed_s:.2f}s)", file=sys.stderr)
+                samples.append((rep.B, rep.count))
         samples = _fit_points(samples)  # reject them before waiting for c
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except _UsageError as exc:
         subparsers[args.command].error(str(exc))
-    except (ArithmeticError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

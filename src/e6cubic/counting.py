@@ -33,13 +33,13 @@ Three inner strategies share the same xi/tau1 nest:
   keeps both signs of tau2, as the count's independent oracle.  The count
   takes the xi tuples of a chunk together: a batch of at most _BATCH
   classes times heights is one array pass, slot i holding each tuple's
-  i-th prime, with one table of square roots or of inverses per prime.  A
-  larger xi tuple is a chunk or a batch alone.  One pass at the largest
-  height of a grid counts every smaller height too: a (xi, tau1) visit at
-  B_max counts at B_j when x2 <= B_j and m3 * |tau1| <= B_j, and only its
-  tau2 window shrinks with B_j, inside the larger windows, so each term
-  counts its k in the windows of all heights at once, broadcast over a
-  height axis.
+  i-th prime, with the square roots mod each prime off ``_root_slices``
+  and one table of inverses per prime.  A larger xi tuple is a chunk or a
+  batch alone.  One pass at the largest height of a grid counts every
+  smaller height too: a (xi, tau1) visit at B_max counts at B_j when
+  x2 <= B_j and m3 * |tau1| <= B_j, and only its tau2 window shrinks with
+  B_j, inside the larger windows, so each term counts its k in the windows
+  of all heights at once, broadcast over a height axis.
 
 All must agree exactly, the class count with the class walk at every
 (xi, tau1) and every height; the brute surface scan is the independent
@@ -62,7 +62,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import numpy.ma  # np.unique reads it, and numpy loads it lazily: load it before a pool forks
 
-from .arith import _primes_upto, factorize
+from .arith import factorize, is_squarefree
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
@@ -91,13 +91,6 @@ __all__ = [
 _LOOP_ORDER = (6, 5, 4, 3, 2, 1, 0)  # indices into XI_NAMES / LAMBDA
 
 
-def _squarefree_table(limit):
-    flags = bytearray([1]) * (limit + 1)
-    for p in _primes_upto(math.isqrt(limit)).tolist():
-        flags[p * p :: p * p] = bytearray(len(range(p * p, limit + 1, p * p)))
-    return flags
-
-
 def _xi_tuples(B, scheme):
     """Admissible xi-tuples (canonical order) with xi^LAMBDA <= B, as an iterator.
 
@@ -116,7 +109,6 @@ def _xi_tuples(B, scheme):
         raise NotImplementedError("squarefree taus are not supported")
     groups, squarefree = _compiled(scheme, tuple(XI_NAMES[i] for i in _LOOP_ORDER))
     earlier = [tuple(i for i, js in groups if level in js) for level in range(7)]
-    sqfree = _squarefree_table(math.isqrt(B) + 1)
     exps = tuple(LAMBDA[i] for i in _LOOP_ORDER)
     vals = [1] * 7  # in loop order
     gcd = math.gcd
@@ -133,7 +125,7 @@ def _xi_tuples(B, scheme):
             m = mono * v**e
             if m > B:
                 break
-            if (not squarefree_needed or sqfree[v]) and all(
+            if (not squarefree_needed or is_squarefree(v)) and all(
                 gcd(v, vals[j]) == 1 for j in checks
             ):
                 vals[level] = v
@@ -265,17 +257,10 @@ def _visit_arrays(loops):
     m = fl[tup]
     targets = t1 % m
     targets = targets * targets % m * targets % m * coef[tup] % m
-    first, last = np.empty_like(t1), np.empty_like(t1)
-    tables, base = [np.zeros(0, np.int64)], 0
-    for f in np.unique(m).tolist():
-        at = np.flatnonzero(m == f)
-        roots, a, b = _root_slices(targets[at], f)
-        first[at], last[at] = a + base, b + base
-        tables.append(roots)
-        base += roots.size
+    roots, first, last = _root_slices(targets, m)
     keep = first < last
     t1, tup = t1[keep], tup[keep]
-    return tup, t1, t1 * t1 * t1 * f1[tup], np.concatenate(tables), first[keep], last[keep]
+    return tup, t1, t1 * t1 * t1 * f1[tup], roots, first[keep], last[keep]
 
 
 def _visit_chunks(B, scheme, xis=None):
@@ -298,53 +283,44 @@ def _visit_chunks(B, scheme, xis=None):
 _SQUARE_CHUNK = 1 << 14  # residues squared at once by _root_slices
 
 
-def _root_slices(targets, fl):
+def _root_slices(targets, moduli):
     """(roots, first, last), int64 arrays: roots[first[i]:last[i]] are the
-    square roots of targets[i] modulo fl, ascending, for an int64 array of
-    targets in [0, fl).
+    square roots of targets[i] modulo moduli[i], ascending, for int64 arrays
+    of moduli >= 1 and of targets in [0, moduli[i]).
 
-    Squares every r in [0, fl/2], a chunk at a time, keeps the r whose
-    square is a target, with fl - r, which has the same square, and sorts
-    them by square and then by root, so that each target's roots are one
-    ascending slice.  Besides the roots kept, only the targets' mask of fl
-    bytes grows with fl.
+    For each distinct modulus q, squares every r in [0, q/2], a chunk at a
+    time, keeps the r whose square is a target, with q - r, which has the
+    same square, and sorts them by square and then by root, so that each
+    target's roots are one ascending slice of q's table; the tables are
+    concatenated, and q's targets are looked up in ascending order, on which
+    searchsorted is fastest.  Besides the roots kept, only the targets' mask
+    of q bytes grows with q, one modulus at a time.
     """
-    wanted = np.zeros(fl, dtype=bool)
-    wanted[targets] = True
-    r, r_sq = [], []
-    for start in range(0, fl // 2 + 1, _SQUARE_CHUNK):
-        chunk = np.arange(start, min(start + _SQUARE_CHUNK, fl // 2 + 1), dtype=np.int64)
-        squares = chunk * chunk % fl
-        hit = wanted[squares]
-        r.append(chunk[hit])
-        r_sq.append(squares[hit])
-    r, r_sq = np.concatenate(r), np.concatenate(r_sq)
-    pair = (r > 0) & (2 * r < fl)  # r and fl - r are distinct roots
-    r, r_sq = np.concatenate((r, fl - r[pair])), np.concatenate((r_sq, r_sq[pair]))
-    order = np.argsort(r_sq * fl + r)
-    r_sq = r_sq[order]
-    return r[order], np.searchsorted(r_sq, targets, "left"), np.searchsorted(r_sq, targets, "right")
-
-
-def _prime_square_roots(p, a):
-    """(n, 2) int64: the square roots of a[i] modulo the prime p[i], the one
-    below p[i]/2 in column 0, for int64 arrays p and a with 0 <= a < p; -1
-    where there are fewer than two (0 has one root, and so has 1 mod 2).
-
-    Squares every residue of each distinct p into one table, indexed by the
-    prime's first row plus the square, a batch of primes (``_batches``) at a
-    time.
-    """
-    out = np.full((p.size, 2), -1)
-    for q in _batches((q, q, 1) for q in np.unique(p).tolist()):
-        q = np.array(q, np.int64)
-        at = np.cumsum(q) - q  # the first row of each prime
-        s, qs = np.arange(q.sum()) - np.repeat(at, q), np.repeat(q, q)
-        table = np.full((s.size, 2), -1)
-        table[np.repeat(at, q) + s * s % qs, (2 * s > qs).astype(np.int64)] = s
-        sel = np.flatnonzero((p >= q[0]) & (p <= q[-1]))
-        out[sel] = table[at[np.searchsorted(q, p[sel])] + a[sel]]
-    return out
+    first, last = np.empty_like(targets), np.empty_like(targets)
+    order = np.lexsort((targets, moduli))  # by modulus, then by target
+    qs, starts = np.unique(moduli[order], return_index=True)
+    tables, base = [np.zeros(0, np.int64)], 0
+    for q, at in zip(qs.tolist(), np.split(order, starts[1:])):
+        t = targets[at]
+        wanted = np.zeros(q, dtype=bool)
+        wanted[t] = True
+        r, r_sq = [], []
+        for start in range(0, q // 2 + 1, _SQUARE_CHUNK):
+            chunk = np.arange(start, min(start + _SQUARE_CHUNK, q // 2 + 1), dtype=np.int64)
+            squares = chunk * chunk % q
+            hit = wanted[squares]
+            r.append(chunk[hit])
+            r_sq.append(squares[hit])
+        r, r_sq = np.concatenate(r), np.concatenate(r_sq)
+        pair = (r > 0) & (2 * r < q)  # r and q - r are distinct roots
+        r, r_sq = np.concatenate((r, q - r[pair])), np.concatenate((r_sq, r_sq[pair]))
+        by_square = np.argsort(r_sq * q + r)
+        r_sq = r_sq[by_square]
+        first[at] = np.searchsorted(r_sq, t, "left") + base
+        last[at] = np.searchsorted(r_sq, t, "right") + base
+        tables.append(r[by_square])
+        base += r.size
+    return np.concatenate(tables), first, last
 
 
 def _walk(B, scheme):
@@ -454,8 +430,8 @@ def _k_windows(lo, hi, fl, vis, r):
 
 
 # the cap of every packed array pass: xi tuples of a frame batch, tau1 values
-# of a visit chunk, classes times heights of a class batch, residues of a
-# prime-root table and of a block of verify's eta tally
+# of a visit chunk, classes times heights of a class batch, and residues of a
+# block of verify's eta tally
 _BATCH = 1 << 12
 
 
@@ -499,13 +475,14 @@ def _class_counts(hs, frames, visits):
     slots as its tuples have primes at most.  A class is dead where p
     divides every tau2 or every tauL of it or of its visit.  For p not
     dividing fl, k -> tau2 is onto mod p, and the bad tau2 residues (0, and
-    the roots of tau2^2*xi2 + A, off a table of the squares mod p) are found
-    per visit; for p | fl, k -> tauL is affine mod p, solved with a table of
-    inverses mod p.  Each prime has one table per batch.  tau2 = 0 and
-    tauL = 0 fall in every bad set, as gcd(0, c) = c demands.  The int64
-    arithmetic is exact under the height limit (``_MAX_CLASS_HEIGHT``): the
-    product of a tuple's primes times the largest is at most B, and
-    fl*p*xi2 <= B^(4/3) for each p | fl.
+    the roots of tau2^2*xi2 + A, off the table of squares mod p of
+    ``_root_slices``) are found per visit; for p | fl, k -> tauL is affine
+    mod p, solved with a table of inverses mod p.  Each prime has one table
+    of each kind per batch: one ``_root_slices`` call serves every prime of
+    the batch.  tau2 = 0 and tauL = 0 fall in every bad set, as
+    gcd(0, c) = c demands.  The int64 arithmetic is exact under the height
+    limit (``_MAX_CLASS_HEIGHT``): the product of a tuple's primes times the
+    largest is at most B, and fl*p*xi2 <= B^(4/3) for each p | fl.
     """
     tup, t1, A, roots, first, last = visits
     prime_sets = [[p for p, _ in factorize(f[7] * f[8])] for f in frames]
@@ -540,8 +517,11 @@ def _class_counts(hs, frames, visits):
     slots = np.array(slots, np.int64).reshape(len(rows), width, 8)
     v, i = np.nonzero(slots[tup, :, 4])  # the roots of A*m mod p at each visit's slots
     p, m = slots[tup[v], i, 0], slots[tup[v], i, 1]
-    roots_am = np.full((t1.size, width, 2), -1)
-    roots_am[v, i] = _prime_square_roots(p, A[v] % p * m % p)
+    roots_am = np.full((t1.size, width, 2), -1)  # 0, 1 or 2 roots, ascending, padded with -1
+    found, a, b = _root_slices(A[v] % p * m % p, p)
+    for j in range(2):
+        has = b - a > j
+        roots_am[v[has], i[has], j] = found[a[has] + j]
     inv_table = np.array([0] + [pow(x, -1, p) if x else 0 for p in inv_at for x in range(p)])
     ct = tup[vis]  # the tuple of each class
     dead = np.zeros(r.size, bool)  # where p divides every tau2 or every tauL of a class

@@ -131,7 +131,8 @@ class TestMultiplicativeFunctions:
 
 def assert_root_slices(targets, q):
     """counting._root_slices gives, for each target, sqrt_mod's roots in its order."""
-    roots, first, last = counting._root_slices(np.array(targets, dtype=np.int64), q)
+    moduli = np.full(len(targets), q)
+    roots, first, last = counting._root_slices(np.array(targets, dtype=np.int64), moduli)
     assert len(first) == len(last) == len(targets)
     for a, i, j in zip(targets, first, last):
         assert roots[i:j].tolist() == arith.sqrt_mod(a, q), (a, q)
@@ -187,24 +188,26 @@ class TestSqrtMod:
         # every residue is a target: each r is the root of r^2 once, in order;
         # the squared r run over [0, q/2], three chunks and a remainder
         q = 6 * counting._SQUARE_CHUNK + 5
-        roots, first, last = counting._root_slices(np.arange(q, dtype=np.int64), q)
+        roots, first, last = counting._root_slices(np.arange(q, dtype=np.int64), np.full(q, q))
         assert sorted(roots.tolist()) == list(range(q))
         owner = np.repeat(np.arange(q), last - first)
         assert (roots * roots % q == owner).all()
         assert (np.diff(roots)[owner[1:] == owner[:-1]] > 0).all()
 
-    def test_prime_square_roots_in_groups(self, monkeypatch):
-        # tables of at most 64 rows: small primes share one, the larger have one each
-        monkeypatch.setattr(counting, "_BATCH", 64)
+    def test_root_slices_of_mixed_moduli(self, monkeypatch):
+        # every residue of each prime below 200 and of a few composite moduli,
+        # shuffled into one call; 360 and 1001 square several chunks of 64
+        monkeypatch.setattr(counting, "_SQUARE_CHUNK", 64)
         primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))]
-        p = np.array([q for q in primes for _ in range(q)])
-        a = np.array([x for q in primes for x in range(q)])
-        order = np.random.default_rng(5).permutation(p.size)
-        p, a = p[order], a[order]
-        roots = counting._prime_square_roots(p, a)
-        for q, x, pair in zip(p.tolist(), a.tolist(), roots.tolist()):
-            assert [s for s in pair if s >= 0] == arith.sqrt_mod(x, q), (x, q)
-        assert counting._prime_square_roots(p[:0], a[:0]).shape == (0, 2)
+        moduli = primes + [1, 2, 8, 360, 1001]
+        q = np.array([m for m in moduli for _ in range(m)])
+        a = np.array([x for m in moduli for x in range(m)])
+        order = np.random.default_rng(5).permutation(q.size)
+        q, a = q[order], a[order]
+        roots, first, last = counting._root_slices(a, q)
+        for m, x, i, j in zip(q.tolist(), a.tolist(), first.tolist(), last.tolist()):
+            assert roots[i:j].tolist() == arith.sqrt_mod(x, m), (x, m)
+        assert [x.size for x in counting._root_slices(a[:0], q[:0])] == [0, 0, 0]
 
     def test_modulus_beyond_int64_squares_raises_before_allocating(self, monkeypatch):
         def no_array(*args, **kwargs):

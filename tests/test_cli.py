@@ -382,6 +382,21 @@ class TestFit:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fit_refuses_a_grid_before_counting_it(self, capsys, monkeypatch):
+        def counted(*args, **kwargs):
+            raise AssertionError("the grid was counted")
+
+        monkeypatch.setattr(counting, "count_torsor_grid", counted)
+        for spec, message in (
+            ("1e2:1e4:geometric:5", "need at least 14 distinct samples, got 5"),
+            ("1e2:1e4:geometric:20", "samples must span at least three decades of B"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["fit", "--B-range", spec])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert message in err and "counted B=" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):

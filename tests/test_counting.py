@@ -448,6 +448,17 @@ class TestOversizedHeight:
         counting.enumerate_points(B)
         counting.enumerate_torsor_points(B)
 
+    def test_xi_nest_starts_without_a_table(self):
+        # the tau2 scan takes any B below 2^63; its xi nest tests each xi for
+        # squarefreeness as it reaches it, with no sieve of sqrt(B) flags
+        tracemalloc.start()
+        try:
+            next(counting._xi_tuples(10**16, torsor.T1_SCHEME))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
 
 def refused_at_the_call(B, call, monkeypatch):
     """call() raises OverflowError for B, having made nothing that grows with
