@@ -369,6 +369,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     threads = os.environ.get(_ENV_THREADS, "1")
     threads_help = f"worker processes (default: ${_ENV_THREADS}, else 1)"
+    quad_help = (
+        "omega_inf's direct form halves its Gauss panels, up to 400, until its error estimate "
+        "is at most tol * max(1, value); tol in (0, 1e-3] (default 1e-9)"
+    )
     declared = {}
 
     def options(command, *actions):
@@ -397,7 +401,9 @@ def build_parser():
     options(
         "constant",
         p_const.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),
-        p_const.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9),
+        p_const.add_argument(
+            "--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9, help=quad_help
+        ),
         p_const.add_argument("--out"),
     )
 
@@ -420,7 +426,9 @@ def build_parser():
         p_fit.add_argument("--threads", type=_positive_int, default=threads, help=threads_help),
         p_fit.add_argument("--c-ref", dest="c_ref", type=_c_ref, default=None),
         p_fit.add_argument("--trunc-prime", dest="trunc_prime", type=_trunc_prime, default=10**5),
-        p_fit.add_argument("--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9),
+        p_fit.add_argument(
+            "--quad-tol", dest="quad_tol", type=_quad_tol, default=1e-9, help=quad_help
+        ),
         p_fit.add_argument("--out", help="fit report JSON path"),
         p_fit.add_argument("--plot-csv", dest="plot_csv", help="plot-ready CSV path"),
     )

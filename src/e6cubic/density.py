@@ -10,13 +10,13 @@ The constant factors as  c = alpha * beta * omega_inf * omega_0  with
                 both through the iterated integrals g1/g2 and through an
                 independent slicing of the same region.
 
-g1 and g2 are closed forms.  g2 is a sum of Gauss hypergeometric functions
-for v >= 0.65 and, below, where those cancel, a fast binomial series plus a
-fixed 8-point Gauss rule; it takes arrays, so each Gauss rule over v costs
-one call of g2.  alpha and omega_p are exact rationals; omega_0 and omega_inf
-are floats with explicit tail and quadrature error estimates.  A closed form
-of the height zeta function's local factor is cross-checked against a direct
-truncated sum weighted by the arithmetic function vartheta.
+g1 is a closed form.  g2 sums two integrals of analytic functions by fixed
+32-point Gauss rules for v >= 0.65 and, below, where those cancel, a fast
+binomial series plus a fixed 8-point Gauss rule; it takes arrays, so each
+Gauss rule over v costs one call of g2.  alpha and omega_p are exact
+rationals; omega_0 and omega_inf are floats with explicit tail and quadrature
+error estimates.  A closed form of the height zeta function's local factor is
+cross-checked against a direct truncated sum weighted by vartheta.
 
 The same pieces give the proof's whole main term: main_term_coefficients
 returns the degree-6 polynomial P with N(B) ~ B * P(log B), whose top
@@ -24,7 +24,6 @@ coefficient is c; omega_0 is the constant term of P's Euler product.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,36 +58,6 @@ __all__ = [
 ALPHA = Fraction(1, 6220800)
 BETA = Fraction(1)
 
-
-def _scipy_quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: counts never load scipy."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def quad(func, a, b, points=(), **kwargs):
-    """scipy.integrate.quad, one call per piece of [a, b], with its warnings
-    silenced; returns the summed value and the summed error estimate.
-
-    Each break point strictly inside (a, b) ends a piece, however close it
-    lies to an end or to another break point; points on or outside [a, b]
-    are ignored.  Convergence is judged by the returned error estimates
-    (callers compare independent evaluations), not by per-panel roundoff
-    warnings, which at the tolerances used here, and on pieces as narrow as
-    1e-17, fire routinely and harmlessly.
-    """
-    from scipy.integrate import IntegrationWarning
-
-    ends = [a, *sorted({p for p in points if a < p < b}), b]
-    value = error = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(ends, ends[1:]):
-            v, e = _scipy_quad(func, lo, hi, **kwargs)
-            value += v
-            error += e
-    return value, error
 
 # 0 < -log omega_p <= 27/p^2: in y = 1/p <= 1/2, over (1 - y)(1 + 7y + y^2) > 0,
 # the derivative of log omega_p = 7 log(1 - y) + log(1 + 7y + y^2) has numerator
@@ -198,9 +167,9 @@ def g1(u: float, v: float) -> float:
 
 
 # g2's two forms meet here, at a panel edge of _g2_integrals.  Against
-# 30-digit integrals of g1 at 163 values of v in [1e-8, 1], g2 errs by at most
-# 1.2e-15 relative; the 2F1 form alone errs by up to 9e-13 near v = 0.36,
-# where its terms cancel
+# 30-digit integrals of g1 at 161 values of v in [1e-8, 1], g2 errs by at most
+# 6.7e-16 relative; the Gauss form alone errs by 2.6e-13 at v = 0.36 and 7e-8
+# at v = 0.2, where its terms cancel and a1 outgrows the zeros of 1 + t^3
 _G2_V_SPLIT = 0.65
 # S(1) = int_0^1 sqrt(1 - s^3) ds, by Gauss's sum of the 2F1 at 1
 _S_ONE = math.gamma(4.0 / 3.0) * math.gamma(1.5) / math.gamma(11.0 / 6.0)
@@ -226,6 +195,19 @@ _T_COEF = [
 # less than (64/15) 3.5 rho^-16 / (rho^2 - 1) < 1e-18, rho = 6 + 35^(1/2)
 # (Trefethen, SIAM Rev. 50, 2008, Thm 4.5)
 _R_NODES, _R_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# From _G2_V_SPLIT up, g2's two integrals run over [0, X], as X (1 + x) / 2 for
+# x in [-1, 1]: -S(-a1) with X = a1 <= 2.306 and integrand sqrt(1 + t^3), and
+# L(e) with X = (e - 1)^(1/2) <= 1.194 and integrand 2 y^2 (y^4 + 3 y^2 + 3)^(1/2).
+# A smaller X maps each ellipse with foci -1, 1 into the one for the largest X,
+# which is convex and holds 0.  With rho = 2, |1 + x| <= 2.25 on the ellipse,
+# so |t| < 2.6; the zeros of 1 + t^3 lie outside it (the nearest, e^(i pi/3),
+# at rho 2.13), and (X/2) |1 + t^3|^(1/2) < 1.153 * 18.6^(1/2) < 5.  With
+# rho = 4, |1 + x| <= 3.125 and |y| < 1.87; the zeros of y^4 + 3 y^2 + 3, of
+# modulus 3^(1/4) at arguments +-75 and +-105 degrees, lie at rho >= 4.55, and
+# the integrand times X/2 stays below 1.194 * 3.5 * 5.1 < 22.  So the 32-point
+# rule errs by less than (64/15) 5 * 2^-64 / 3 < 4e-19 on the first and
+# (64/15) 22 * 4^-64 / 15 < 2e-38 on the second (Trefethen, as for R)
+_GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 32)}
 
 
 def _g2_small(v):
@@ -243,7 +225,7 @@ def _g2_small(v):
 
 
 def g2(v):
-    """Integral of g1(., v) over |u| <= v^-4, for 0 < v <= 1, in closed form.
+    """Integral of g1(., v) over |u| <= v^-4, for 0 < v <= 1.
 
     v may be a float or an array of floats, evaluated elementwise.  With
     a1 = (v^-6 - 1)^(1/3) and a2 = (v^-6 + 1)^(1/3), the t-window top
@@ -252,11 +234,12 @@ def g2(v):
 
         g2 = 2 [S(1) - S(-a1) + v^-3 (e - a1) - L(e)],
 
-    with S(u) = int_0^u sqrt(1 - s^3) ds = u 2F1(-1/2, 1/3; 4/3; u^3) and
-    L(x) = int_1^x sqrt(s^3 - 1) ds = (2/9) x^(5/2) W^(3/2) 2F1(2/3, 1; 5/2; W),
-    W = 1 - x^-3 (the form without cancellation as x -> 1).  This serves
-    v >= _G2_V_SPLIT.  Below it S(-a1) and L(e) are both of size v^-5 and
-    cancel, and e = a2, so g2 is summed as
+    with S(u) = int_0^u sqrt(1 - s^3) ds and L(x) = int_1^x sqrt(s^3 - 1) ds.
+    This serves v >= _G2_V_SPLIT, where -S(-a1) = int_0^a1 sqrt(1 + t^3) dt
+    and, in s = 1 + y^2, L(e) = int_0^(e - 1)^(1/2) 2 y^2 sqrt(y^4 + 3 y^2 + 3) dy
+    are fixed 32-point Gauss rules on analytic integrands (_GAUSS).  Below it
+    S(-a1) and L(e) are both of size v^-5 and cancel, and e = a2, so g2 is
+    summed as
 
         g2 = 2 [C - T(a1) + R(v)],
 
@@ -270,8 +253,6 @@ def g2(v):
 
     so the v^7 terms cancel and g2 = 2C - 4v - (20/351) v^13 + O(v^19).
     """
-    from scipy.special import hyp2f1
-
     v = np.asarray(v, dtype=float)
     if not np.all((v > 0.0) & (v <= 1.0)):
         raise ValueError("v must lie in (0, 1]")
@@ -281,11 +262,14 @@ def g2(v):
     big = v[~small]
     a1 = np.maximum(0.0, big**-6.0 - 1.0) ** (1.0 / 3.0)
     e = np.minimum(big**-4.0, (big**-6.0 + 1.0) ** (1.0 / 3.0))
-    w = 1.0 - e**-3.0
+    y_top = np.sqrt(e - 1.0)
+    x, w = _GAUSS[32]
+    t = (0.5 * a1)[:, None] * (1.0 + x)
+    y2 = ((0.5 * y_top)[:, None] * (1.0 + x)) ** 2
     out[~small] = 2.0 * (
-        _S_ONE + a1 * hyp2f1(-0.5, 1.0 / 3.0, 4.0 / 3.0, -(a1**3))
+        _S_ONE + 0.5 * a1 * (np.sqrt(1.0 + t**3) @ w)
         + big**-3.0 * (e - a1)
-        - (2.0 / 9.0) * e**2.5 * w**1.5 * hyp2f1(2.0 / 3.0, 1.0, 2.5, w)
+        - y_top * ((y2 * np.sqrt(y2 * y2 + 3.0 * y2 + 3.0)) @ w)
     )
     return out if out.ndim else float(out)
 
@@ -310,7 +294,7 @@ def _g2_integrals(f, n):
     a, y_top = 0.35, (1.0 - k2) ** (1.0 / 3.0)
     lo = np.array([0.0, a, _G2_V_SPLIT, k1, 0.0, 0.5 * y_top])
     hi = np.array([1.0, _G2_V_SPLIT, k1, k2, 0.5 * y_top, y_top])
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _GAUSS[n]
     half = 0.5 * (hi - lo)
     y = 0.5 * (lo + hi)[:, None] + half[:, None] * x
     v, jac = y.copy(), np.ones_like(y)
@@ -364,25 +348,53 @@ def _u_section(u):
     return 2.0 * (upper - c * lo)
 
 
+# r = -1/u where the t-window bottom crosses the switch T = |u|^(3/4), at
+# |u|^(3/2) = the golden ratio: the tail's one kink (T > 1 where it crosses 1)
+_R_KINK = ((1.0 + math.sqrt(5.0)) / 2.0) ** (-2.0 / 3.0)
+
+
+def _gauss(f, a, b, n):
+    # n-point Gauss-Legendre value of the integral of the scalar f over [a, b]
+    x, w = _GAUSS[n]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * float(w @ [f(t) for t in (mid + half * x).tolist()])
+
+
 def omega_inf_direct(tol: float = 1e-9):
     """The same volume, sliced the other way: v-fibers measured exactly and
-    integrated over t in closed form (_u_section), then over u by adaptive
-    quadrature, the only place tol acts.  Returns (value, error estimate).
+    integrated over t in closed form (_u_section), then over u by Gauss rules.
+    Returns (value, error estimate).
 
-    The unbounded u < -1 part is mapped to r = -1/u in (0, 1).
+    The unbounded u < -1 part is mapped to r = -1/u in (0, 1].  The pieces end
+    at the section's break points: u in [-1, 0] and, as u = 1 - y^2, in
+    [0, 1]; r in (0, _R_KINK] and, as r = 1 - y^2, in [_R_KINK, 1].  The two
+    substitutions take out the square roots of 1 - u^3 at u = 1 and of
+    -1 - u^3 at u = -1, so each integrand is analytic.  As in omega_inf_g2,
+    the value is the 32-point rule's and the estimate its distance from the
+    20-point rule's.  tol acts only here: while the estimate exceeds
+    tol * max(1, value), QUADPACK's test with epsabs = epsrel = tol, every
+    panel is halved, up to QUADPACK's limit of 400 panels, where the
+    estimate is returned as it stands.
     """
-    near, err1 = quad(
-        _u_section, -1.0, 1.0, points=[0.0], limit=400, epsabs=tol, epsrel=tol,
+    far = lambda r: _u_section(-1.0 / r) / (r * r)  # the section at u = -1/r, times du/dr
+    pieces = (
+        (_u_section, -1.0, 0.0),
+        (lambda y: 2.0 * y * _u_section(1.0 - y * y), 0.0, 1.0),
+        (far, 0.0, _R_KINK),
+        (lambda y: 2.0 * y * far(1.0 - y * y), 0.0, math.sqrt(1.0 - _R_KINK)),
     )
-    # the tail's section kinks where the t-window bottom crosses the switch
-    # T = |u|^(3/4), at |u|^(3/2) = the golden ratio; |u| = 2^(1/3), where
-    # the bottom crosses t = 1, is no kink (T > 1 there) but stays a piece end
-    far_pts = [2.0 ** (-1.0 / 3.0), ((1.0 + math.sqrt(5.0)) / 2.0) ** (-2.0 / 3.0)]
-    far, err2 = quad(
-        lambda r: _u_section(-1.0 / r) / (r * r), 0.0, 1.0,
-        points=far_pts, limit=400, epsabs=tol, epsrel=tol,
-    )
-    return 6.0 * (near + far), 6.0 * (err1 + err2)
+    splits = 1
+    while True:
+        value = error = 0.0
+        for f, lo, hi in pieces:
+            ends = np.linspace(lo, hi, splits + 1).tolist()
+            for a, b in zip(ends, ends[1:]):
+                fine = _gauss(f, a, b, 32)
+                value += fine
+                error += abs(fine - _gauss(f, a, b, 20))
+        if error <= tol * max(1.0, value) or 2 * splits * len(pieces) > 400:
+            return 6.0 * value, 6.0 * error
+        splits *= 2
 
 
 @dataclass(frozen=True)

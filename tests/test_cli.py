@@ -149,6 +149,16 @@ class TestConstant:
             cli.main(["constant", "--quad-tol", "0.5"])
         assert exc.value.code == 2
 
+    def test_every_tolerance_exits_0(self, capsys):
+        # the ends of --quad-tol's range and the default: the direct form's
+        # estimate never grows as tol shrinks
+        estimates = []
+        for tol in ("1e-3", "1e-9", "1e-15"):
+            code, out, _ = run_cli(capsys, "constant", "--trunc-prime", "1000", "--quad-tol", tol)
+            assert code == 0, out
+            estimates.append(density.omega_inf_direct(float(tol))[1])
+        assert estimates == sorted(estimates, reverse=True)
+
     def test_disagreeing_omega_inf_forms_exit_3(self, capsys, monkeypatch):
         # shift the direct form by 1.5 times the two forms' error estimates:
         # beyond what omega_inf accepts, far below 1e-6

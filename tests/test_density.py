@@ -208,6 +208,25 @@ class TestArchimedean:
             exact = g2_by_quadrature(v)
             assert abs(density.g2(v) / exact - 1) <= 1e-13, v
 
+    def test_g2_gauss_branch_matches_its_hypergeometric_form(self):
+        # from the split up g2 integrates -S(-a1) and L(e) by Gauss rules;
+        # their 2F1 forms at 30 digits, on 120 points, both kinks and v = 1,
+        # where a1 = 0 and e = 1
+        def g2_hyp(v):
+            with mpmath.workdps(30):
+                v, third = mpmath.mpf(v), mpmath.mpf(1) / 3
+                a1 = mpmath.cbrt(max(0, v**-6 - 1))
+                e = min(v**-4, mpmath.cbrt(v**-6 + 1))
+                w = 1 - e**-3
+                minus_s = a1 * mpmath.hyp2f1(-0.5, third, 1 + third, -(a1**3))
+                ell = 2 * e**2.5 * w**1.5 * mpmath.hyp2f1(2 * third, 1, 2.5, w) / 9
+                return 2 * (mpmath.mpf(density._S_ONE) + minus_s + v**-3 * (e - a1) - ell)
+
+        vs = np.append(np.linspace(density._G2_V_SPLIT, 1.0, 118), density._G2_V_KINKS)
+        assert vs[117] == 1.0
+        for v, got in zip(vs.tolist(), density.g2(vs).tolist()):
+            assert abs(got / g2_hyp(v) - 1) <= 2e-15, v
+
     def test_g2_on_arrays_is_elementwise(self):
         v = np.array([[1e-6, 0.3, 0.65], [0.9, 0.95, 1.0]])
         got = density.g2(v)
@@ -276,26 +295,49 @@ class TestArchimedean:
             else:
                 assert abs(got / exact - 1) <= 2e-14, u
 
-    def test_direct_form_quadratures_are_the_outer_ones(self, monkeypatch):
-        # the sections are closed forms, so only the five pieces of the two
-        # u-integrals call QUADPACK, and tol still reaches them
+    def test_direct_form_panels_end_at_the_break_points(self, monkeypatch):
+        # the sections are closed forms, so the Gauss nodes at which the
+        # u-integral calls them show its panels: one per stretch between the
+        # break points -1, 0, 1 and -golden of u, each a 32- and a 20-point
+        # rule, in u or r = -1/u or the y that takes out a square-root end
+        seen = []
+        section = density._u_section
+        monkeypatch.setattr(density, "_u_section", lambda u: seen.append(u) or section(u))
+        _, estimate = density.omega_inf_direct()
+        assert estimate <= 1e-13
+        golden = ((1 + math.sqrt(5)) / 2) ** (2 / 3)
+        u = np.array(seen)
+        x_top = np.polynomial.legendre.leggauss(32)[0].max()
+        pieces = [
+            (u[(u > -1) & (u < 0)], (-1, 0)),
+            (np.sqrt(1 - u[(u > 0) & (u < 1)]), (0, 1)),
+            (-1 / u[u < -golden], (0, 1 / golden)),
+            (np.sqrt(1 + 1 / u[(u > -golden) & (u < -1)]), (0, math.sqrt(1 - 1 / golden))),
+        ]
+        assert sum(len(z) for z, _ in pieces) == len(seen) == 4 * (32 + 20)
+        for z, ends in pieces:
+            assert len(z) == 32 + 20
+            mid, half = (z.max() + z.min()) / 2, (z.max() - z.min()) / (2 * x_top)
+            assert (mid - half, mid + half) == pytest.approx(ends, abs=1e-12)
+
+    def test_direct_form_halves_its_panels_up_to_400(self, monkeypatch):
+        # a tol no float estimate meets halves every panel, from 4 up to 256,
+        # since 512 would pass QUADPACK's limit of 400, and the estimate is
+        # returned as it stands there
         calls = []
-        scipy_quad = density._scipy_quad
-        monkeypatch.setattr(
-            density, "_scipy_quad", lambda *a, **k: calls.append(a) or scipy_quad(*a, **k)
-        )
-        _, coarse = density.omega_inf_direct(1e-3)
-        assert len(calls) == 5
-        _, fine = density.omega_inf_direct(1e-9)
-        assert len(calls) == 10
-        assert fine < coarse
+        section = density._u_section
+        monkeypatch.setattr(density, "_u_section", lambda u: calls.append(u) or section(u))
+        b, eb = density.omega_inf_direct(1e-30)
+        assert len(calls) == (32 + 20) * (4 + 8 + 16 + 32 + 64 + 128 + 256)
+        a, ea = density.omega_inf_g2()
+        assert abs(a - b) <= ea + eb and eb <= 1e-13
 
     def test_dual_evaluations_agree(self):
         a, ea = density.omega_inf_g2()
         b, eb = density.omega_inf_direct()
         # every break point ends a quadrature piece, so the forms agree to
-        # rounding: 3.5e-14 at the default tolerance
-        assert abs(a - b) <= 1e-12
+        # rounding: 2.1e-14 at the default tolerance
+        assert abs(a - b) <= 1e-13
         assert ea < 1e-6 and eb < 1e-6
 
     def test_k0_is_the_g2_form(self):

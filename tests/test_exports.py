@@ -29,9 +29,9 @@ def test_every_public_name_of_the_package_is_exported_by_its_module():
     assert sorted(public - exported) == []
 
 
-def test_counts_walks_and_verify_never_load_scipy():
-    # scipy serves the constant's quadratures only, imported on first use; a
-    # fresh interpreter shows what the package itself loads
+def test_no_path_loads_scipy():
+    # numpy is the one runtime dependency; a fresh interpreter shows what the
+    # package itself loads on each path, the constant's quadratures included
     script = """
 import sys
 import e6cubic
@@ -39,9 +39,12 @@ from e6cubic import cli, counting, density
 assert cli.main(["count", "--B", "1000", "--method", "fast"]) == 0
 list(counting.enumerate_points(60))
 assert cli.main(["verify", "--B", "40", "--samples", "100", "--grid", "2"]) == 0
+assert cli.main(["constant", "--trunc-prime", "1000"]) == 0
+density.main_term_coefficients(1000)
+# fit's own peyre_constant, after a count
+assert cli.main(["fit", "--B-range", "10:10000:geometric:14", "--threads", "1",
+                 "--trunc-prime", "1000"]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
-density.peyre_constant(1000)
-assert "scipy" in sys.modules
 """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
