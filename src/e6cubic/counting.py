@@ -45,24 +45,23 @@ All must agree exactly, the class count with the class walk at every
 (xi, tau1) and every height; the brute surface scan is the independent
 oracle for all.
 
-Parallel counts deal the xi tuples round-robin to the workers (``_scan_part``
-for the scan, ``_grid_part`` for the class count), in the canonical order of
-``_xi_tuples``: a xi tuple's tau1/tau2 sums are independent of every other
-tuple's, and summing the shard counts reproduces the full count, so parallel
-runs are deterministic.
+Every strategy reads its xi tuples off one frame table (``_frames``), int64
+columns over the tuples in the nest's canonical order.  Parallel counts deal
+its rows round-robin to the workers (``_scan_part`` for the scan,
+``_grid_part`` for the class count): a xi tuple's tau1/tau2 sums are
+independent of every other tuple's, and summing the shard counts reproduces
+the full count, so parallel runs are deterministic.
 """
 
 import math
 import time
-from bisect import bisect_left
-from itertools import islice
+from collections import namedtuple
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 import numpy as np
-import numpy.ma  # np.unique reads it, and numpy loads it lazily: load it before a pool forks
 
-from .arith import factorize, is_squarefree
+from .arith import factorize
 from .surface import CountReport, RationalPoint, _cumulative_counts, _height
 from .torsor import (
     F1_EXPONENTS,
@@ -91,71 +90,76 @@ __all__ = [
 _LOOP_ORDER = (6, 5, 4, 3, 2, 1, 0)  # indices into XI_NAMES / LAMBDA
 
 
-def _xi_tuples(B, scheme):
-    """Admissible xi-tuples (canonical order) with xi^LAMBDA <= B, as an iterator.
+_Frames = namedtuple("_Frames", "xi x2 m0 m3 fl f1 c1 c2 cl t1max t2max")
 
-    Applies the xi conditions of the scheme incrementally: level L checks
-    each earlier level whose group in ``_compiled`` lists L.  Every count and
-    enumeration starts here, so a negative B, one beyond the int64 monomials
-    of ``_frames``, or a tau-tau pair or squarefree tau raises here, at the
-    call, before any table.
+
+def _frames(B, scheme):
+    """The frame table at B: int64 columns with one row per admissible xi
+    tuple with xi^LAMBDA <= B, in the canonical order of the nest, xi6
+    outermost and xi1 innermost, each ascending.  A table of some of its
+    rows is ``frames._make(column[rows] for column in frames)``.
+
+    xi holds the tuples (rows x 7); x2, m0 and m3 are the monomials of x2
+    and of the units of x0 and x3; fl and f1 the coefficients of tauL and
+    tau1^3 in the equation; c1, c2 and cl the products of the xi's that
+    tau1, tau2 and tauL must be coprime to; t1max = B // m3, t2max = B // m0.
+
+    The nest grows one level at a time, in _LOOP_ORDER: each row so far
+    takes v = 1, ..., floor((B // x2)^(1/e)), e the level's LAMBDA entry;
+    the rows where v shares a prime with an earlier level whose group in
+    ``_compiled`` lists this one, or fails this level's squarefree flag, go;
+    and v enters each of the eight monomials with its exponent there.  Every
+    such exponent is at most LAMBDA's, so each monomial is at most
+    x2 <= B, and B is under the height limit at every caller
+    (``_class_height``).  Every count and enumeration starts here, so a
+    negative B, or a tau-tau pair or squarefree tau, raises here, before any
+    table.
     """
-    if _height(B) >= 1 << 63:
-        raise OverflowError(f"height B = {B} is too large for the int64 monomials")
+    _height(B)
     tau_groups, tau_squarefree = _compiled(scheme, TAU_NAMES)
     if tau_groups:
         raise NotImplementedError("tau-tau coprimality is not supported")
     if tau_squarefree:
         raise NotImplementedError("squarefree taus are not supported")
     groups, squarefree = _compiled(scheme, tuple(XI_NAMES[i] for i in _LOOP_ORDER))
-    earlier = [tuple(i for i, js in groups if level in js) for level in range(7)]
-    exps = tuple(LAMBDA[i] for i in _LOOP_ORDER)
-    vals = [1] * 7  # in loop order
-    gcd = math.gcd
-
-    def rec(level, mono):
-        if level == 7:
-            yield (vals[6], vals[5], vals[4], vals[3], vals[2], vals[1], vals[0])
-            return
-        e = exps[level]
-        checks = earlier[level]
-        squarefree_needed = level in squarefree
-        v = 1
-        while True:
-            m = mono * v**e
-            if m > B:
-                break
-            if (not squarefree_needed or is_squarefree(v)) and all(
-                gcd(v, vals[j]) == 1 for j in checks
-            ):
-                vals[level] = v
-                yield from rec(level + 1, m)
-            v += 1
-
-    return rec(0, 1) if B >= 1 else iter(())
-
-
-def _frames(B, scheme, xis=None):
-    """Yield, per xi tuple of xis (default: all), the data of its tau loops.
-
-    (xi, x2, x0_unit, x3_unit, fl, f1, c1, c2, cl, tau1_max, tau2_max), where
-    fl and f1 are the coefficients of tauL and tau1^3 in the equation and
-    c1, c2, cl the products of the xi's that tau1, tau2, tauL must be
-    coprime to, read off ``_compiled`` on the xi's and taus.  The eight
-    monomials of a batch of xi tuples (``_batches``) come from one int64
-    pass; each exponent is at most LAMBDA's, so every monomial and partial
-    product is at most x2 <= B < 2^63, as ``_xi_tuples`` checks.
-    """
     later = dict(_compiled(scheme, XI_NAMES + TAU_NAMES)[0])
     # 0/1 exponent vectors: monomial(xi, partners) is the product of the xi's
     # a tau must be coprime to
     partners = [[int(j in later.get(i, ())) for i in range(7)] for j in range(7, 10)]
-    xis = _xi_tuples(B, scheme) if xis is None else xis
-    exps = np.array((LAMBDA, X0_EXPONENTS, X3_EXPONENTS, FL_EXPONENTS, F1_EXPONENTS, *partners))
-    for chunk in _batches((xi, 1, 1) for xi in xis):
-        monos = np.prod(np.array(chunk, np.int64)[:, None, :] ** exps, axis=2).tolist()
-        for xi, (x2, m0, m3, fl, f1, c1, c2, cl) in zip(chunk, monos):
-            yield xi, x2, m0, m3, fl, f1, c1, c2, cl, B // m3, B // m0
+    exps = np.array((LAMBDA, X0_EXPONENTS, X3_EXPONENTS, FL_EXPONENTS, F1_EXPONENTS, *partners)).T
+    xi = np.ones((int(B >= 1), 0), np.int64)  # the levels so far, in loop order
+    monos = np.ones((len(xi), 8), np.int64)  # x2, m0, m3, fl, f1, c1, c2, cl
+    for level, i in enumerate(_LOOP_ORDER):
+        size = _iroot_array(B // monos[:, 0], LAMBDA[i])
+        row = np.repeat(np.arange(len(xi)), size)
+        v = np.arange(1, row.size + 1) - np.repeat(np.cumsum(size) - size, size)
+        checks = [j for j, js in groups if level in js]  # their product is at most sqrt(B)
+        keep = np.gcd(v, xi[:, checks].prod(axis=1)[row]) == 1
+        if level in squarefree and v.size:
+            flags = np.ones(v.max() + 1, bool)  # flags[v]: no d^2 > 1 divides v
+            for d in range(2, math.isqrt(flags.size - 1) + 1):
+                flags[d * d :: d * d] = False
+            keep &= flags[v]
+        row, v = row[keep], v[keep]
+        xi = np.column_stack((xi[row], v))
+        monos = monos[row] * v[:, None] ** exps[i]
+    return _Frames(xi[:, ::-1], *monos.T, B // monos[:, 2], B // monos[:, 1])
+
+
+def _iroot_array(n, e):
+    """floor(n^(1/e)) of each entry of an int64 array n with 0 <= n < 3 * 2^61.
+
+    The float root of n is below 2^32 and errs by a few 2^-53 relative (the
+    roundings of n, of 1/e and of the power), so by less than 1e-5, and its
+    floor is within 1 of the exact one; one exact int64 step each way
+    corrects it.  The largest power formed, (floor(n^(1/e)) + 1)^e, stays
+    below 2^63: with x = n^(1/e) it is at most n * exp(e/x) < 4/3 * n where
+    x > 3.5e, and at most 22^6 where x <= 3.5e <= 21.
+    """
+    s = (n.astype(np.float64) ** (1 / e)).astype(np.int64)
+    s -= s**e > n
+    s += (s + 1) ** e <= n
+    return s
 
 
 def _tau2_windows(bfl, A, xi2, t2max):
@@ -167,117 +171,77 @@ def _tau2_windows(bfl, A, xi2, t2max):
     as it does under the height limit (``_class_height``).
     """
     num = bfl - A
-    hi = np.where(num < 0, -1, np.minimum(_isqrt_array(np.maximum(num, 0) // xi2), t2max))
+    hi = np.where(num < 0, -1, np.minimum(_iroot_array(np.maximum(num, 0) // xi2, 2), t2max))
     c = np.maximum(-((bfl + A) // xi2), 0)  # ceil((-bfl - A) / xi2), at least 0
-    lo = _isqrt_array(c)
+    lo = _iroot_array(c, 2)
     lo += lo * lo < c  # ceil(sqrt(c))
     return lo, hi
 
 
-def _icbrt(n):
-    """floor(n^(1/3)) for an integer n >= 0."""
-    r = round(n ** (1 / 3))
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
-def _isqrt_array(n):
-    """floor(sqrt(n)) of each entry of an int64 array n with 0 <= n < 3 * 2^61.
-
-    Two roundings of relative size 2^-53, of n and of its root, leave the
-    float root of n < 2^63 within 1e-6 of the exact one, so its floor is
-    within 1 of floor(sqrt(n)), and one exact int64 step each way corrects
-    it; the largest square formed, (floor(sqrt(n)) + 1)^2 < n + 2^33, stays
-    below 2^63.
-    """
-    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    s -= s * s > n
-    s += (s + 1) * (s + 1) <= n
-    return s
-
-
-# The one height limit of the class walk and the class count, B^2 < 2^61.
+# The one height limit of every torsor count and enumeration, B^2 < 2^61.
 # Every xi tuple with x2 <= B has fl <= x2 <= B, as FL_EXPONENTS <= LAMBDA
-# entry by entry, and t2max = B // m0 with m0 >= xi2^2, so _tau1_range's
-# a_max = B*fl + t2max^2*xi2 <= 2B^2 < 2^62 bounds |A|, and the tau2 window
-# numerators B*fl + |A| stay below 3B^2 < 3 * 2^61 (_tau2_windows).  Every
-# LAMBDA entry is at least 2, so the product of the xi's is at most sqrt(B),
-# and so are the product of the primes of c2*cl and the largest of them: the
-# product times the largest is at most B (_avoiding_counts).  A prime p of
-# fl divides xiL, xi4 or xi5, so fl*p*xi2 <= x2*xiL <= B^(4/3)
-# (_class_counts).  The tuple (1, 1, 1, floor(B^(1/3)), 1, 1, 1) has a_max
-# near 2B^2, so the limit is tight for this proof.
+# entry by entry, and t2max = B // m0 with m0 >= xi2^2, so the tau1 ranges'
+# a_max = B*fl + t2max^2*xi2 <= 2B^2 < 2^62 bounds |A| (_visit_chunks), and
+# the tau2 window numerators B*fl + |A| stay below 3B^2 < 3 * 2^61
+# (_tau2_windows).  Every LAMBDA entry is at least 2, so the product of the
+# xi's is at most sqrt(B), and so are the product of the primes of c2*cl and
+# the largest of them: the product times the largest is at most B
+# (_avoiding_counts).  A prime p of fl divides xiL, xi4 or xi5, so
+# fl*p*xi2 <= x2*xiL <= B^(4/3) (_class_counts).  The tuple
+# (1, 1, 1, floor(B^(1/3)), 1, 1, 1) has a_max near 2B^2, so the limit is
+# tight for this proof.
 _MAX_CLASS_HEIGHT = math.isqrt((1 << 61) - 1)  # 1,518,500,249
 
 
 def _class_height(B):
-    """Check B as a height bound of the class walk or count: OverflowError above the limit."""
+    """Check B as a height bound of a torsor count or enumeration: OverflowError above the limit."""
     if _height(B) > _MAX_CLASS_HEIGHT:
         raise OverflowError(f"height B = {B} is too large for the int64 tau1 arrays")
 
 
-def _tau1_range(B, xi2, fl, f1, t1max, t2max):
-    """(pos, neg): the tau1 of a xi tuple with a tau2 class to visit lie in
-    0..pos and -1..-neg.
+def _visit_chunks(B, frames):
+    """Yield (chunk, visits) for runs of consecutive rows of the frame table
+    at B, each with at most _BATCH tau1 values or one row: chunk is their
+    table, and visits = (tup, tau1, A, roots, first, last) int64 arrays over
+    their visits.
 
-    A visit has a tau2 window (``_tau2_windows``) with hi >= 0, i.e.
-    A = tau1^3 * f1 <= B*fl, and lo <= t2max, i.e. -A <= B*fl + t2max^2*xi2,
-    so each sign of tau1 ends at an exact cube root.  Under the height limit
-    (``_MAX_CLASS_HEIGHT``) |A| and the window numerators fit in int64.
-    """
-    bfl = B * fl
-    a_max = bfl + t2max * t2max * xi2
-    return min(t1max, _icbrt(bfl // f1)), min(t1max, _icbrt(a_max // f1))
-
-
-def _visit_arrays(loops):
-    """(tup, tau1, A, roots, first, last), int64 arrays over the visits of
-    loops, a list of (xi2, fl, f1, c1, pos, neg), one per xi tuple.
-
-    Visit v is tau1[v] of loops[tup[v]], in the order of loops and, within
-    one, tau1 = 0, 1, ..., pos and then -1, ..., -neg (``_tau1_range``),
-    less the tau1 sharing a prime with c1 or without a root.  A = tau1^3 * f1,
-    and tauL is integral exactly for tau2 = r (mod fl) with r in
+    Visit v is tau1[v] of row tup[v] of chunk, in the order of the rows and,
+    within one, tau1 = 0, 1, ..., pos and then -1, ..., -neg, less the tau1
+    sharing a prime with c1 or without a root.  A visit has a tau2 window
+    (``_tau2_windows``) with hi >= 0, i.e. A = tau1^3 * f1 <= B*fl, and
+    lo <= t2max, i.e. -A <= a_max = B*fl + t2max^2*xi2, so pos and neg are
+    exact cube roots, taken over all rows at once; under the height limit
+    (``_MAX_CLASS_HEIGHT``) a_max and the window numerators fit in int64.
+    tauL is integral exactly for tau2 = r (mod fl) with r in
     roots[first[v]:last[v]], the square roots of -A / xi2 modulo fl,
     ascending.  The roots come from one table of the squares modulo each
-    distinct fl of loops (``_root_slices``), with the targets -A / xi2 formed
-    from tau1 mod fl, never from tau1^3.
+    distinct fl of the chunk (``_root_slices``), with the targets -A / xi2
+    formed from tau1 mod fl, never from tau1^3.
     """
-    _, fl, f1, c1, pos, neg = np.array(loops, np.int64).T
-    coef = np.array([-f * pow(x, -1, m) % m for x, m, f, *_ in loops], np.int64)
-    size = pos + neg + 1
-    tup = np.repeat(np.arange(len(loops)), size)
-    t1 = np.arange(tup.size) - np.repeat(np.cumsum(size) - size, size)  # 0, 1, ... per loop
-    t1 = np.where(t1 <= pos[tup], t1, pos[tup] - t1)
-    keep = np.gcd(t1, c1[tup]) == 1
-    t1, tup = t1[keep], tup[keep]
-    m = fl[tup]
-    targets = t1 % m
-    targets = targets * targets % m * targets % m * coef[tup] % m
-    roots, first, last = _root_slices(targets, m)
-    keep = first < last
-    t1, tup = t1[keep], tup[keep]
-    return tup, t1, t1 * t1 * t1 * f1[tup], roots, first[keep], last[keep]
-
-
-def _visit_chunks(B, scheme, xis=None):
-    """Yield (frames, visits) for chunks of consecutive xi tuples of xis
-    (default: all) at B: frames as ``_frames`` gives them, and visits =
-    (tup, tau1, A, roots, first, last) as ``_visit_arrays`` gives them, visit
-    v being (xi, tau1[v]) of frames[tup[v]].  A chunk has at most _BATCH
-    tau1 values, or one xi tuple."""
-
-    def loops():
-        for frame in _frames(B, scheme, xis):
-            xi, _, _, _, fl, f1, c1, _, _, t1max, t2max = frame
-            pos, neg = _tau1_range(B, xi[1], fl, f1, t1max, t2max)
-            yield (frame, (xi[1], fl, f1, c1, pos, neg)), pos + neg + 1, 1
-
-    for chunk in _batches(loops()):
-        yield [frame for frame, _ in chunk], _visit_arrays([loop for _, loop in chunk])
+    xi2, fl, f1 = frames.xi[:, 1], frames.fl, frames.f1
+    bfl = B * fl
+    pos = np.minimum(frames.t1max, _iroot_array(bfl // f1, 3))
+    neg = np.minimum(frames.t1max, _iroot_array((bfl + frames.t2max**2 * xi2) // f1, 3))
+    coef = [-f * pow(x, -1, m) % m for x, m, f in zip(xi2.tolist(), fl.tolist(), f1.tolist())]
+    coef = np.array(coef, np.int64)
+    sizes = pos + neg + 1
+    for chunk in _batches((k, n, 1) for k, n in enumerate(sizes.tolist())):
+        a = chunk[0]
+        rows = slice(a, chunk[-1] + 1)
+        size = sizes[rows]
+        tup = np.repeat(np.arange(a, rows.stop), size)
+        t1 = np.arange(tup.size) - np.repeat(np.cumsum(size) - size, size)  # 0, 1, ... per row
+        t1 = np.where(t1 <= pos[tup], t1, pos[tup] - t1)
+        keep = np.gcd(t1, frames.c1[tup]) == 1
+        t1, tup = t1[keep], tup[keep]
+        m = fl[tup]
+        targets = t1 % m
+        targets = targets * targets % m * targets % m * coef[tup] % m
+        roots, first, last = _root_slices(targets, m)
+        keep = first < last
+        t1, tup = t1[keep], tup[keep]
+        visits = (tup - a, t1, t1 * t1 * t1 * f1[tup], roots, first[keep], last[keep])
+        yield frames._make(column[rows] for column in frames), visits
 
 
 _SQUARE_CHUNK = 1 << 14  # residues squared at once by _root_slices
@@ -298,9 +262,10 @@ def _root_slices(targets, moduli):
     """
     first, last = np.empty_like(targets), np.empty_like(targets)
     order = np.lexsort((targets, moduli))  # by modulus, then by target
-    qs, starts = np.unique(moduli[order], return_index=True)
+    ordered = moduli[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=0))  # each modulus's first place
     tables, base = [np.zeros(0, np.int64)], 0
-    for q, at in zip(qs.tolist(), np.split(order, starts[1:])):
+    for q, at in zip(ordered[starts].tolist(), np.split(order, starts[1:])):
         t = targets[at]
         wanted = np.zeros(q, dtype=bool)
         wanted[t] = True
@@ -331,12 +296,13 @@ def _walk(B, scheme):
     gcd = math.gcd
 
     def solutions():
-        for frames, (tup, t1, A, roots, first, last) in _visit_chunks(B, scheme):
-            xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
-            lo, hi = _tau2_windows(B * fl, A, xi2, t2max)
+        for chunk, (tup, t1, A, roots, first, last) in _visit_chunks(B, _frames(B, scheme)):
+            lo, hi = _tau2_windows(B * chunk.fl[tup], A, chunk.xi[tup, 1], chunk.t2max[tup])
+            xis = list(map(tuple, chunk.xi.tolist()))
+            rows = np.stack((chunk.x2, chunk.m0, chunk.m3, chunk.fl, chunk.c2, chunk.cl), 1).tolist()
             roots = roots.tolist()
             for v, t, a, i, j, l, h in np.stack((tup, t1, A, first, last, lo, hi), 1).tolist():
-                xi, x2, m0, m3, f, _, _, c2, cl, _, _ = frames[v]
+                xi, (x2, m0, m3, f, c2, cl) = xis[v], rows[v]
                 ivs = ((-h, h),) if l == 0 else ((-h, -l), (l, h))
                 for r in roots[i:j]:
                     for a_lo, a_hi in ivs:
@@ -349,10 +315,11 @@ def _walk(B, scheme):
     return solutions()
 
 
-def _scan(B, scheme, xis=None):
-    """_walk's solutions, of the xi tuples xis if given, by the tau2 scan."""
+def _scan(B, frames):
+    """_walk's solutions at B, of the rows of a frame table, by the tau2 scan."""
     gcd = math.gcd
-    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in _frames(B, scheme, xis):
+    rows = zip(map(tuple, frames.xi.tolist()), *(column.tolist() for column in frames[1:]))
+    for xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max in rows:
         xi2 = xi[1]
         for t1 in range(-t1max, t1max + 1):
             if gcd(t1, c1) != 1:
@@ -454,10 +421,10 @@ def _class_counts(hs, frames, visits):
     """ns for a batch of xi tuples, counted in one array pass: ns[v, j] is
     the number of points of visit v at the height hs[j].
 
-    frames are consecutive frames of ``_frames`` at the height hs[-1], an
-    ascending int64 array of heights, and visits = (tup, tau1, A, roots,
-    first, last) their visits as ``_visit_arrays`` gives them, visit v being
-    (xi, tau1[v]) of frames[tup[v]].  The batch's classes, with each xi
+    frames is a table of consecutive rows of the frame table at the height
+    hs[-1], an ascending int64 array of heights, and visits = (tup, tau1, A,
+    roots, first, last) their visits as ``_visit_chunks`` gives them, visit
+    v being (xi, tau1[v]) of row tup[v].  The batch's classes, with each xi
     tuple's data, lie in one set of arrays.  A height below a tuple's x2 has
     an empty window in each of its classes, like a height below m3*|tau1|.
     Each root class r is counted without walking it, on tau2 >= 0 only:
@@ -485,9 +452,9 @@ def _class_counts(hs, frames, visits):
     largest is at most B, and fl*p*xi2 <= B^(4/3) for each p | fl.
     """
     tup, t1, A, roots, first, last = visits
-    prime_sets = [[p for p, _ in factorize(f[7] * f[8])] for f in frames]
-    rows = [(fl, xi[1], m0, m3, x2, c2, cl) for xi, x2, m0, m3, fl, _, _, c2, cl, _, _ in frames]
-    fl, xi2, m0, m3, x2, c2, cl = np.array(rows, np.int64)[tup].T  # of each visit
+    prime_sets = [[p for p, _ in factorize(c)] for c in (frames.c2 * frames.cl).tolist()]
+    rows = (frames.fl, frames.xi[:, 1], frames.m0, frames.m3, frames.x2, frames.c2, frames.cl)
+    fl, xi2, m0, m3, x2, c2, cl = (column[tup] for column in rows)  # of each visit
     # class c has root r[c] and visit vis[c]; the classes of a visit are contiguous
     size = last - first
     vis = np.repeat(np.arange(t1.size), size)
@@ -503,7 +470,7 @@ def _class_counts(hs, frames, visits):
     width = max(map(len, prime_sets))
     inv_at = {}
     slots = []
-    for (f, x, *_, c2_, cl_), primes in zip(rows, prime_sets):
+    for f, x, *_, c2_, cl_, primes in zip(*(column.tolist() for column in rows), prime_sets):
         for p in primes:
             in_c2, in_cl = c2_ % p == 0, cl_ % p == 0
             if f % p == 0:  # tied: p | tau2 iff p | r, and tauL = -(n0 + b*k) mod p
@@ -514,7 +481,7 @@ def _class_counts(hs, frames, visits):
             else:  # free, with p | xi2 where p | cl: p divides every tauL of a visit or none
                 slots.append((p, 0, pow(f, -1, p), in_c2, 0, in_cl, 0, 0))
         slots += [(1, 0, 0, 0, 0, 0, 0, 0)] * (width - len(primes))
-    slots = np.array(slots, np.int64).reshape(len(rows), width, 8)
+    slots = np.array(slots, np.int64).reshape(len(prime_sets), width, 8)
     v, i = np.nonzero(slots[tup, :, 4])  # the roots of A*m mod p at each visit's slots
     p, m = slots[tup[v], i, 0], slots[tup[v], i, 1]
     roots_am = np.full((t1.size, width, 2), -1)  # 0, 1 or 2 roots, ascending, padded with -1
@@ -563,46 +530,49 @@ def _class_counts(hs, frames, visits):
     return ns
 
 
-def _grid_class_counts(Bs, scheme, xis=None):
-    """Yield (xi, tau1, ns) for each xi tuple at B = Bs[-1], Bs a sorted
-    tuple of distinct heights.
+def _grid_class_counts(Bs, frames):
+    """Yield (xi, tau1, ns) for each row of the frame table at B = Bs[-1],
+    Bs a sorted tuple of distinct heights.
 
     ns[v, j] is the number of points of the visit (xi, tau1[v]) at the
     height Bs[len(Bs) - ns.shape[1] + j]: the columns are the heights with
-    x2 <= Bj, and the xi tuple has no points below them.  The xi tuples come
-    in the chunks of ``_visit_chunks``, and a chunk's tuples in batches of
+    x2 <= Bj, and the xi tuple has no points below them.  The rows come
+    in the chunks of ``_visit_chunks``, and a chunk's rows in batches of
     at most _BATCH classes times heights, each counted in one array pass
     (``_class_counts``) on the heights from its lowest x2 on; a tuple above
     the cap is a batch alone.
     """
     heights = np.array(Bs, dtype=np.int64)
-    for frames, (tup, t1, A, roots, first, last) in _visit_chunks(Bs[-1], scheme, xis):
-        at = np.searchsorted(tup, np.arange(len(frames) + 1))  # each tuple's first visit
+    for chunk, (tup, t1, A, roots, first, last) in _visit_chunks(Bs[-1], frames):
+        xis = chunk.xi.tolist()
+        at = np.searchsorted(tup, np.arange(len(xis) + 1))  # each tuple's first visit
         classes = np.diff(np.concatenate(([0], np.cumsum(last - first)))[at]).tolist()
         at = at.tolist()
-        low = [bisect_left(Bs, frame[1]) for frame in frames]  # each tuple's lowest height
-        for batch in _batches(zip(range(len(frames)), classes, (len(Bs) - j for j in low))):
+        low = np.searchsorted(heights, chunk.x2).tolist()  # each tuple's lowest height
+        for batch in _batches(zip(range(len(xis)), classes, (len(Bs) - j for j in low))):
             a, b = batch[0], batch[-1] + 1
             part, j0 = slice(at[a], at[b]), min(low[a:b])
             visits = (tup[part] - a, t1[part], A[part], roots, first[part], last[part])
-            ns = _class_counts(heights[j0:], frames[a:b], visits)
+            ns = _class_counts(heights[j0:], chunk._make(column[a:b] for column in chunk), visits)
             for i in batch:
                 v = slice(at[i] - at[a], at[i + 1] - at[a])
-                yield frames[i][0], t1[at[i]:at[i + 1]], ns[v, low[i] - j0:]
+                yield tuple(xis[i]), t1[at[i]:at[i + 1]], ns[v, low[i] - j0:]
 
 
 def _scan_part(args):
     """Points of every parts-th xi tuple at B, from the part-th on, by the tau2 scan."""
     B, parts, part, scheme = args
-    return sum(1 for _ in _scan(B, scheme, islice(_xi_tuples(B, scheme), part, None, parts)))
+    frames = _frames(B, scheme)
+    return sum(1 for _ in _scan(B, frames._make(column[part::parts] for column in frames)))
 
 
 def _grid_part(args):
     """Points at each height of Bs of every parts-th xi tuple, from the part-th on."""
     Bs, parts, part, scheme = args
-    xis = islice(_xi_tuples(Bs[-1], scheme), part, None, parts)
+    frames = _frames(Bs[-1], scheme)
+    frames = frames._make(column[part::parts] for column in frames)
     counts = np.zeros(len(Bs), np.int64)
-    for _, _, ns in _grid_class_counts(Bs, scheme, xis):
+    for _, _, ns in _grid_class_counts(Bs, frames):
         counts[len(Bs) - ns.shape[1]:] += ns.sum(axis=0)
     return tuple(counts.tolist())
 
@@ -621,9 +591,11 @@ def _sharded(worker, top, threads, scheme):
 
 
 def count_torsor(B: int, threads: int = 1, scheme: CoprimalityScheme = T1_SCHEME) -> CountReport:
-    """Exact N(B) by torsor enumeration with a scanned tau2 loop."""
+    """Exact N(B) by torsor enumeration with a scanned tau2 loop; a B above
+    the height limit raises before any worker starts (``_class_height``)."""
     t0 = time.perf_counter()
-    partial, shards = _sharded(_scan_part, _height(B), threads, scheme)
+    _class_height(B)
+    partial, shards = _sharded(_scan_part, B, threads, scheme)
     return CountReport(B, sum(partial), "torsor", time.perf_counter() - t0, shards)
 
 

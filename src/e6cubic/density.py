@@ -373,8 +373,9 @@ def omega_inf_direct(tol: float = 1e-9):
     the value is the 32-point rule's and the estimate its distance from the
     20-point rule's.  tol acts only here: while the estimate exceeds
     tol * max(1, value), QUADPACK's test with epsabs = epsrel = tol, every
-    panel is halved, up to QUADPACK's limit of 400 panels, where the
-    estimate is returned as it stands.
+    panel is halved, until the estimate stops falling, where it is rounding
+    noise, or QUADPACK's limit of 400 panels would be passed; the estimate is
+    then returned as it stands.
     """
     far = lambda r: _u_section(-1.0 / r) / (r * r)  # the section at u = -1/r, times du/dr
     pieces = (
@@ -383,7 +384,7 @@ def omega_inf_direct(tol: float = 1e-9):
         (far, 0.0, _R_KINK),
         (lambda y: 2.0 * y * far(1.0 - y * y), 0.0, math.sqrt(1.0 - _R_KINK)),
     )
-    splits = 1
+    splits, last = 1, math.inf
     while True:
         value = error = 0.0
         for f, lo, hi in pieces:
@@ -392,9 +393,9 @@ def omega_inf_direct(tol: float = 1e-9):
                 fine = _gauss(f, a, b, 32)
                 value += fine
                 error += abs(fine - _gauss(f, a, b, 20))
-        if error <= tol * max(1.0, value) or 2 * splits * len(pieces) > 400:
+        if error <= tol * max(1.0, value) or error >= last or 2 * splits * len(pieces) > 400:
             return 6.0 * value, 6.0 * error
-        splits *= 2
+        splits, last = 2 * splits, error
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,17 @@ from e6cubic import arith, counting, surface, torsor
 
 def scanned(B, scheme=torsor.T1_SCHEME):
     """The torsor solutions of the tau2 scan, the counter's plain oracle."""
-    return counting._scan(B, scheme)
+    return counting._scan(B, counting._frames(B, scheme))
+
+
+def xi_tuples(frames):
+    """The xi tuples of a frame table, in its order."""
+    return list(map(tuple, frames.xi.tolist()))
+
+
+def frame_rows(frames):
+    """The rows of a frame table as tuples (xi, x2, m0, m3, fl, f1, c1, c2, cl, t1max, t2max)."""
+    return list(zip(xi_tuples(frames), *(column.tolist() for column in frames[1:])))
 
 
 class TestOracleEquivalence:
@@ -97,25 +107,25 @@ class TestClassCount:
         # its tau2 window as the walk forms it
         for B in (b for b in self.HEIGHTS if b <= top):
             tuples = []
-            for frames, (tup, t1, A, roots, first, last) in counting._visit_chunks(B, scheme):
-                xi2, fl, t2max = np.array([(f[0][1], f[4], f[10]) for f in frames], np.int64)[tup].T
-                lo, hi = counting._tau2_windows(B * fl, A, xi2, t2max)
+            frames = counting._frames(B, scheme)
+            for chunk, (tup, t1, A, roots, first, last) in counting._visit_chunks(B, frames):
+                lo, hi = counting._tau2_windows(B * chunk.fl[tup], A, chunk.xi[tup, 1], chunk.t2max[tup])
                 got = collections.defaultdict(list)
                 columns = (x.tolist() for x in (tup, t1, A, first, last, lo, hi))
                 for v, t, a, i, j, l, h in zip(*columns):
                     got[v].append((t, a, roots[i:j].tolist(), l, h))
-                for v, (xi, _, _, _, fl, f1, c1, _, _, t1max, t2max) in enumerate(frames):
+                for v, (xi, _, _, _, fl, f1, c1, _, _, t1max, t2max) in enumerate(frame_rows(chunk)):
                     args = (B, xi[1], fl, f1, c1, t1max, t2max)
                     assert got[v] == list(reference_visits(*args)), (B, xi)
-                tuples += [frame[0] for frame in frames]
-            assert tuples == list(counting._xi_tuples(B, scheme)), B
+                tuples += xi_tuples(chunk)
+            assert tuples == xi_tuples(frames), B
 
     @SCHEMES
     def test_walk_visits_in_canonical_order(self, scheme, top):
-        # the xi tuples in _xi_tuples order, each in one run of visits, and
-        # within a tuple tau1 = 0, 1, ... and then -1, -2, ...
+        # the xi tuples in the frame table's order, each in one run of
+        # visits, and within a tuple tau1 = 0, 1, ... and then -1, -2, ...
         for B in (b for b in self.HEIGHTS if b <= 2000):
-            rank = {xi: k for k, xi in enumerate(counting._xi_tuples(B, scheme))}
+            rank = {xi: k for k, xi in enumerate(xi_tuples(counting._frames(B, scheme)))}
             keys = [(rank[xi], t1 < 0, abs(t1)) for xi, t1, *_ in counting._walk(B, scheme)]
             keys = [key for k, key in enumerate(keys) if k == 0 or key != keys[k - 1]]
             assert keys == sorted(set(keys)), B
@@ -124,50 +134,57 @@ class TestClassCount:
     def test_tau1_arrays_fit_under_the_height_limit(self, scheme, top):
         # _MAX_CLASS_HEIGHT's bound: a_max = B*fl + t2max^2*xi2 <= 2B^2 for
         # every xi tuple, so |A| <= 2B^2 and the window numerators B*fl + |A|
-        # stay at most 3B^2
+        # of every visit stay at most 3B^2
         for B in (b for b in self.HEIGHTS if b <= top):
-            for xi, _, _, _, fl, f1, _, _, _, t1max, t2max in counting._frames(B, scheme):
+            frames = counting._frames(B, scheme)
+            for xi, _, _, _, fl, _, _, _, _, _, t2max in frame_rows(frames):
                 a_max = B * fl + t2max * t2max * xi[1]
                 assert a_max <= 2 * B * B, (B, xi)
-                _, neg = counting._tau1_range(B, xi[1], fl, f1, t1max, t2max)
-                assert B * fl + neg**3 * f1 <= 3 * B * B, (B, xi)
+            for chunk, (tup, _, A, *_) in counting._visit_chunks(B, frames):
+                assert (B * chunk.fl[tup] + np.abs(A) <= 3 * B * B).all(), B
         # the tuple that nearly attains it, at the limit, without counting
         B = counting._MAX_CLASS_HEIGHT
-        xi = (1, 1, 1, counting._icbrt(B), 1, 1, 1)
-        [(_, _, _, _, fl, _, _, _, _, _, t2max)] = counting._frames(B, torsor.T1_SCHEME, [xi])
-        a_max = B * fl + t2max * t2max * xi[1]
+        xi = (1, 1, 1, round(B ** (1 / 3)), 1, 1, 1)
+        assert xi[3] ** 3 <= B < (xi[3] + 1) ** 3
+        fl, m0 = torsor.monomial(xi, torsor.FL_EXPONENTS), torsor.monomial(xi, torsor.X0_EXPONENTS)
+        a_max = B * fl + (B // m0) ** 2 * xi[1]
         assert 1.99 * B * B < a_max < 1 << 62
 
-    def test_isqrt_is_exact_below_three_times_two_to_the_61(self):
-        # the window numerators reach 3B^2 < 3 * 2^61 under the height limit
-        top = 3 << 61
-        k = math.isqrt(top - 1)
-        rng = random.Random(5)
-        n = [s * s + d for s in range(k - 50, k + 1) for d in (-1, 0, 1)]
-        n += [rng.randrange(1 << 62, top) for _ in range(2000)] + [top - 1, 0, 1]
-        n = [x for x in n if 0 <= x < top]
-        assert counting._isqrt_array(np.array(n, np.int64)).tolist() == [math.isqrt(x) for x in n]
+    @staticmethod
+    def iroot(n, e):
+        """floor(n^(1/e)), exactly."""
+        s = round(n ** (1 / e))
+        while s**e > n:
+            s -= 1
+        while (s + 1) ** e <= n:
+            s += 1
+        return s
 
-    def test_frames_refuse_heights_beyond_int64(self):
-        B = 2**63
-        with pytest.raises(OverflowError, match=f"B = {B} "):
-            next(counting._frames(B, torsor.T1_SCHEME))
+    def test_iroot_is_exact_below_three_times_two_to_the_61(self):
+        # the window numerators reach 3B^2 < 3 * 2^61 under the height limit,
+        # and the nest takes roots of B // x2 for e = 2, ..., 6: s^e - 1, s^e
+        # and s^e + 1 for the top roots s and for small ones
+        top = 3 << 61
+        rng = random.Random(5)
+        for e in range(2, 7):
+            k = self.iroot(top - 1, e)
+            n = [s**e + d for s in [*range(k - 50, k + 1), *range(60)] for d in (-1, 0, 1)]
+            n += [rng.randrange(1 << 62, top) for _ in range(2000)] + [top - 1, 0, 1]
+            n = [x for x in n if 0 <= x < top]
+            got = counting._iroot_array(np.array(n, np.int64), e).tolist()
+            assert got == [self.iroot(x, e) for x in n], e
 
     @SCHEMES
-    def test_frames_match_monomials(self, scheme, top, monkeypatch):
+    def test_frames_match_monomials(self, scheme, top):
         # torsor.monomial is the scalar definition, and the tau partner
-        # vectors come from the scheme's own coprime_partners; batches of 7
-        # xi tuples put many tuples at a batch's end
-        monkeypatch.setattr(counting, "_BATCH", 7)
+        # vectors come from the scheme's own coprime_partners
         partners = [
             [int(name in scheme.coprime_partners(tau)) for name in torsor.XI_NAMES]
             for tau in torsor.TAU_NAMES
         ]
         exps = (torsor.LAMBDA, torsor.X0_EXPONENTS, torsor.X3_EXPONENTS,
                 torsor.FL_EXPONENTS, torsor.F1_EXPONENTS, *partners)
-        frames = list(counting._frames(top, scheme))
-        assert [xi for xi, *_ in frames] == list(counting._xi_tuples(top, scheme))
-        for xi, *monos, t1max, t2max in frames:
+        for xi, *monos, t1max, t2max in frame_rows(counting._frames(top, scheme)):
             want = [torsor.monomial(xi, e) for e in exps]
             assert (monos, t1max, t2max) == (want, top // want[2], top // want[1]), xi
 
@@ -189,8 +206,8 @@ class TestClassCount:
 
     @SCHEMES
     def test_xi_tuples_match_their_definition(self, scheme, top):
-        for B in (1, 37, 500, 2000, 10**4):
-            assert list(counting._xi_tuples(B, scheme)) == self.boxed_xi_tuples(B, scheme), B
+        for B in (0, 1, 37, 500, 2000, 10**4):
+            assert xi_tuples(counting._frames(B, scheme)) == self.boxed_xi_tuples(B, scheme), B
 
     @SCHEMES
     def test_matches_class_walk_per_visit(self, scheme, top):
@@ -199,7 +216,7 @@ class TestClassCount:
                 (xi, t1) for xi, t1, *_ in counting._walk(B, scheme)
             )
             counted = {}
-            for xi, t1s, ns in counting._grid_class_counts((B,), scheme):
+            for xi, t1s, ns in counting._grid_class_counts((B,), counting._frames(B, scheme)):
                 for t1, n in zip(t1s.tolist(), ns[:, 0].tolist()):
                     assert (xi, t1) not in counted
                     counted[(xi, t1)] = n
@@ -271,8 +288,9 @@ class TestClassCount:
 
         monkeypatch.setattr(counting, "_BATCH", cap)
         monkeypatch.setattr(counting, "_class_counts", counted)
+        frames = counting._frames(Bs[-1], scheme)
         rows = [
-            (xi, t1.tolist(), ns.tolist()) for xi, t1, ns in counting._grid_class_counts(Bs, scheme)
+            (xi, t1.tolist(), ns.tolist()) for xi, t1, ns in counting._grid_class_counts(Bs, frames)
         ]
         return rows, len(passes)
 
@@ -322,7 +340,7 @@ class TestClassCount:
         # times the largest is at most B, and fl*p*xi2 <= x2*xiL <= B^(4/3)
         # for each prime p of fl
         for B in (b for b in self.HEIGHTS if b <= top):
-            for xi, x2, _, _, fl, _, _, c2, cl, _, _ in counting._frames(B, scheme):
+            for xi, x2, _, _, fl, _, _, c2, cl, _, _ in frame_rows(counting._frames(B, scheme)):
                 primes = [p for p, _ in arith.factorize(c2 * cl)]
                 assert math.prod(primes) * max(primes, default=1) <= B, (B, xi)
                 for p in (p for p, _ in arith.factorize(fl)):
@@ -421,8 +439,9 @@ class TestOversizedHeight:
             lambda B: counting.count_torsor_grid([1, B, 2], threads=2),
             lambda B: list(counting.enumerate_points(B)),
             lambda B: counting.counts_upto(B),
+            lambda B: counting.count_torsor(B, threads=2),
         ],
-        ids=["count_torsor_fast", "count_torsor_grid-2", "enumerate_points", "counts_upto"],
+        ids=["count_torsor_fast", "count_torsor_grid-2", "enumerate_points", "counts_upto", "count_torsor"],
     )
     def test_refused_just_above_the_limit(self, call, monkeypatch):
         # the old first-tuple check let heights from about 1.519e9 to 2^31
@@ -430,7 +449,7 @@ class TestOversizedHeight:
         def started(*args):
             raise AssertionError("the count started")
 
-        monkeypatch.setattr(counting, "_visit_chunks", started)
+        monkeypatch.setattr(counting, "_frames", started)
         refused_at_the_call(self.ABOVE, lambda: call(self.ABOVE), monkeypatch)
 
     def test_limit_is_accepted_at_the_call(self, monkeypatch):
@@ -447,17 +466,6 @@ class TestOversizedHeight:
         assert sharded == [(B,), (1, B)]
         counting.enumerate_points(B)
         counting.enumerate_torsor_points(B)
-
-    def test_xi_nest_starts_without_a_table(self):
-        # the tau2 scan takes any B below 2^63; its xi nest tests each xi for
-        # squarefreeness as it reaches it, with no sieve of sqrt(B) flags
-        tracemalloc.start()
-        try:
-            next(counting._xi_tuples(10**16, torsor.T1_SCHEME))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
 
 
 def refused_at_the_call(B, call, monkeypatch):

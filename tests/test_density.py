@@ -321,14 +321,16 @@ class TestArchimedean:
             assert (mid - half, mid + half) == pytest.approx(ends, abs=1e-12)
 
     def test_direct_form_halves_its_panels_up_to_400(self, monkeypatch):
-        # a tol no float estimate meets halves every panel, from 4 up to 256,
-        # since 512 would pass QUADPACK's limit of 400, and the estimate is
-        # returned as it stands there
+        # a tol no float estimate meets halves every panel until the estimate,
+        # rounding noise by then, stops falling, short of the 256 panels that
+        # QUADPACK's limit of 400 would allow, and returns it as it stands
         calls = []
         section = density._u_section
         monkeypatch.setattr(density, "_u_section", lambda u: calls.append(u) or section(u))
         b, eb = density.omega_inf_direct(1e-30)
-        assert len(calls) == (32 + 20) * (4 + 8 + 16 + 32 + 64 + 128 + 256)
+        sweeps = [4 * 2**k for k in range(7)]  # 4, 8, ..., 256 panels
+        spent = [(32 + 20) * sum(sweeps[: k + 1]) for k in range(7)]
+        assert len(calls) in spent[1:-1]
         a, ea = density.omega_inf_g2()
         assert abs(a - b) <= ea + eb and eb <= 1e-13
 

@@ -46,7 +46,30 @@ assert cli.main(["fit", "--B-range", "10:10000:geometric:14", "--threads", "1",
                  "--trunc-prime", "1000"]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
+    done = in_a_fresh_interpreter(script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_shard_worker_loads_no_module():
+    # a pool worker pays again for every module it imports that the parent
+    # has not: counting sweep-2w's grid (25 heights from 100 to about 2e4)
+    # in both shards imports nothing after the package itself
+    script = """
+import sys
+import numpy as np
+from e6cubic import counting, torsor
+grid = tuple(sorted({int(round(b)) for b in np.geomspace(100, 20100, 25)}))
+before = set(sys.modules)
+for part in (0, 1):
+    counting._grid_part((grid, 2, part, torsor.T1_SCHEME))
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+"""
+    done = in_a_fresh_interpreter(script)
+    assert done.returncode == 0, done.stderr
+
+
+def in_a_fresh_interpreter(script):
+    """script's run in a new Python process that imports the package from this tree."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
