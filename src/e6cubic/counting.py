@@ -25,21 +25,12 @@ Three inner strategies share the same xi/tau1 nest:
   height) counts each root class in its tau2 window without visiting its
   points (``_class_counts``): writing tau2 = r + fl*k, the k with p | tau2
   or p | tauL are at most three residues mod each prime p of the partner
-  products, and inclusion-exclusion over their CRT classes runs on arrays
-  of terms, one prime slot at a time (``_avoiding_counts``), to count the
-  k that avoid them all.  tau2 enters only through tau2^2 and
-  gcd(tau2, c2), and the roots r are closed under negation, so the count
-  takes tau2 >= 0 only and doubles it, less tau2 = 0 once.  The class walk
-  keeps both signs of tau2, as the count's independent oracle.  The count
-  takes the xi tuples of a chunk together: a batch of at most _BATCH
-  classes times heights is one array pass, slot i holding each tuple's
-  i-th prime, with the square roots mod each prime off ``_root_slices``
-  and one table of inverses per prime.  A larger xi tuple is a chunk or a
-  batch alone.  One pass at the largest height of a grid counts every
-  smaller height too: a (xi, tau1) visit at B_max counts at B_j when
-  x2 <= B_j and m3 * |tau1| <= B_j, and only its tau2 window shrinks with
-  B_j, inside the larger windows, so each term counts its k in the windows
-  of all heights at once, broadcast over a height axis.
+  products, and inclusion-exclusion over their CRT classes makes terms
+  (``_avoiding_terms``) that count the k avoiding them all, on tau2 >= 0,
+  doubled.  A batch of a chunk's xi tuples with at most _BATCH classes is
+  one array pass at the top height of a grid.  Its lower heights only
+  shrink a visit's tau2 window, so they reuse its terms, on ragged
+  (class, height) cells in blocks of at most _BATCH cells.
 
 All must agree exactly, the class count with the class walk at every
 (xi, tau1) and every height; the brute surface scan is the independent
@@ -186,7 +177,7 @@ def _tau2_windows(bfl, A, xi2, t2max):
 # (_tau2_windows).  Every LAMBDA entry is at least 2, so the product of the
 # xi's is at most sqrt(B), and so are the product of the primes of c2*cl and
 # the largest of them: the product times the largest is at most B
-# (_avoiding_counts).  A prime p of fl divides xiL, xi4 or xi5, so
+# (_avoiding_terms).  A prime p of fl divides xiL, xi4 or xi5, so
 # fl*p*xi2 <= x2*xiL <= B^(4/3) (_class_counts).  The tuple
 # (1, 1, 1, floor(B^(1/3)), 1, 1, 1) has a_max near 2B^2, so the limit is
 # tight for this proof.
@@ -225,11 +216,10 @@ def _visit_chunks(B, frames):
     coef = [-f * pow(x, -1, m) % m for x, m, f in zip(xi2.tolist(), fl.tolist(), f1.tolist())]
     coef = np.array(coef, np.int64)
     sizes = pos + neg + 1
-    for chunk in _batches((k, n, 1) for k, n in enumerate(sizes.tolist())):
-        a = chunk[0]
-        rows = slice(a, chunk[-1] + 1)
+    for a, b in _batches(sizes):
+        rows = slice(a, b)
         size = sizes[rows]
-        tup = np.repeat(np.arange(a, rows.stop), size)
+        tup = np.repeat(np.arange(a, b), size)
         t1 = np.arange(tup.size) - np.repeat(np.cumsum(size) - size, size)  # 0, 1, ... per row
         t1 = np.where(t1 <= pos[tup], t1, pos[tup] - t1)
         keep = np.gcd(t1, frames.c1[tup]) == 1
@@ -258,16 +248,17 @@ def _root_slices(targets, moduli):
     target's roots are one ascending slice of q's table; the tables are
     concatenated, and q's targets are looked up in ascending order, on which
     searchsorted is fastest.  Besides the roots kept, only the targets' mask
-    of q bytes grows with q, one modulus at a time.
+    grows with q: one buffer of the largest q's bytes, cleared after each q.
     """
     first, last = np.empty_like(targets), np.empty_like(targets)
     order = np.lexsort((targets, moduli))  # by modulus, then by target
     ordered = moduli[order]
     starts = np.flatnonzero(np.diff(ordered, prepend=0))  # each modulus's first place
     tables, base = [np.zeros(0, np.int64)], 0
+    mask = np.zeros(ordered[-1] if ordered.size else 0, dtype=bool)
     for q, at in zip(ordered[starts].tolist(), np.split(order, starts[1:])):
         t = targets[at]
-        wanted = np.zeros(q, dtype=bool)
+        wanted = mask[:q]
         wanted[t] = True
         r, r_sq = [], []
         for start in range(0, q // 2 + 1, _SQUARE_CHUNK):
@@ -276,6 +267,7 @@ def _root_slices(targets, moduli):
             hit = wanted[squares]
             r.append(chunk[hit])
             r_sq.append(squares[hit])
+        wanted[t] = False
         r, r_sq = np.concatenate(r), np.concatenate(r_sq)
         pair = (r > 0) & (2 * r < q)  # r and q - r are distinct roots
         r, r_sq = np.concatenate((r, q - r[pair])), np.concatenate((r_sq, r_sq[pair]))
@@ -337,29 +329,27 @@ def _scan(B, frames):
                     yield (xi, t1, t2, tl, x2, m0, m3)
 
 
-def _avoiding_counts(k_lo, k_hi, grp, primes, bad):
-    """n, with n[c, j] the number of k in [k_lo[c, j], k_hi[c, j]] with
-    k mod p outside the bad residues of class c at p, for every prime p of c.
+def _avoiding_terms(k_lo, k_hi, grp, primes, bad):
+    """(cls, (first, step, sign)), int64 arrays over the inclusion-exclusion
+    terms beyond each class's own: with them ``_term_counts`` counts the k in
+    [k_lo[c], k_hi[c]], or in any window inside it, with k mod p outside the
+    bad residues of class c at p, for every prime p of c.
 
     Class c has the primes primes[grp[c]], distinct and padded with 1s to one
     width, and bad[i] = (res, holds) its bad residues at its i-th prime:
     res[c] the residues, distinct where they hold, and holds[c] the mask of
-    those that do.  The window of column j lies inside the last column's, or
-    is empty with k_hi = k_lo - 1.  Inclusion-exclusion runs on arrays of
-    terms, one prime slot at a time: a term is the progression of
-    k = first (mod step) from first on, step the product of its class's
-    primes in its mask, and refining it by one bad residue of the next prime
-    gives a term of the opposite sign.  first is the least such k in the last
-    window, and a term whose first is above that window's top is dropped
-    with all its refinements, so the terms stay near the number of classes.
-    Every term counts its k in every column at once; a class's own term,
-    with step 1, counts them without a division.  The int64 arithmetic is
-    exact while a class's primes times its largest stay below 2^62, as they
-    do under the height limit (``_MAX_CLASS_HEIGHT``).
+    those that do.  Inclusion-exclusion runs on arrays of terms, one prime
+    slot at a time: term t of class cls[t] is the progression of
+    k = first[t] (mod step[t]), counted with sign[t], step the product of its
+    class's primes in its mask, and refining it by one bad residue of the
+    next prime gives a term of the opposite sign.  first is the least such k
+    in [k_lo, k_hi], and a term whose first is above k_hi is dropped with all
+    its refinements, so the terms stay near the number of classes.  The int64
+    arithmetic is exact while a class's primes times its largest stay below
+    2^62, as they do under the height limit (``_MAX_CLASS_HEIGHT``).
     """
-    top = k_hi[:, -1]
     cls = np.arange(len(k_lo))  # the class of each term, its own term first
-    first = k_lo[:, -1]
+    first = k_lo
     mask = np.zeros_like(cls)
     steps = np.ones((len(primes), 1), np.int64)  # steps[g, mask]: the product of g's primes in mask
     signs = [1]  # of each mask
@@ -371,84 +361,90 @@ def _avoiding_counts(k_lo, k_hi, grp, primes, bad):
         g = grp[c]
         q = p[g]
         k = f + steps[g, msk] * ((res[c, j] - f) % q * inv[g, msk] % q)
-        keep = k <= top[c]
+        keep = k <= k_hi[c]
         cls = np.concatenate((cls, c[keep]))
         first = np.concatenate((first, k[keep]))
         mask = np.concatenate((mask, msk[keep] + (1 << i)))
         steps = np.concatenate((steps, steps * p[:, None]), axis=1)
         signs += [-s for s in signs]
-    n = k_hi - k_lo + 1  # the classes' own terms
     own = len(k_lo)
-    cls, first, mask = cls[own:], first[own:, None], mask[own:]
-    step = steps[grp[cls], mask, None]
-    counts = (k_hi[cls] - first) // step - (k_lo[cls] - 1 - first) // step
-    np.add.at(n, cls, counts * np.array(signs)[mask, None])
+    cls, mask = cls[own:], mask[own:]
+    return cls, (first[own:], steps[grp[cls], mask], np.array(signs)[mask])
+
+
+def _term_counts(k_lo, k_hi, at, terms):
+    """n, n[w] the k of the window [k_lo[w], k_hi[w]] (empty: k_hi = k_lo - 1)
+    plus, for each term (first, step, sign)[t] of ``_avoiding_terms`` with
+    at[t] = w, sign times its k = first (mod step) there."""
+    first, step, sign = terms
+    n = k_hi - k_lo + 1
+    np.add.at(n, at, sign * ((k_hi[at] - first) // step - (k_lo[at] - 1 - first) // step))
     return n
 
 
-def _k_windows(lo, hi, fl, vis, r):
-    """(k_lo, k_hi): tau2 = r[c] + fl*k lies in the window [lo, hi] of its
-    visit vis[c] iff k_lo[c] <= k <= k_hi[c], elementwise over the columns,
-    for 0 <= r < fl; one division per visit, none per class."""
-    q, rem = np.divmod(lo, fl[:, None])
-    k_lo = q[vis] + (rem[vis] > r[:, None])  # ceil((lo - r) / fl)
-    q, rem = np.divmod(hi, fl[:, None])
-    return k_lo, q[vis] - (rem[vis] < r[:, None])  # floor((hi - r) / fl)
+def _k_windows(lo, hi, fl, at, r):
+    """(k_lo, k_hi): tau2 = r[c] + fl[w]*k lies in the window [lo[w], hi[w]]
+    of w = at[c] iff k_lo[c] <= k <= k_hi[c], for 0 <= r < fl, with
+    k_hi = k_lo - 1 where no k does; one division per window, none per class."""
+    q, rem = np.divmod(lo, fl)
+    k_lo = q[at] + (rem[at] > r)  # ceil((lo - r) / fl)
+    q, rem = np.divmod(np.maximum(hi, lo - 1), fl)  # floor((lo - 1 - r) / fl) = k_lo - 1
+    return k_lo, q[at] - (rem[at] < r)  # floor((hi - r) / fl)
 
 
-# the cap of every packed array pass: xi tuples of a frame batch, tau1 values
-# of a visit chunk, classes times heights of a class batch, and residues of a
-# block of verify's eta tally
+# the cap of every packed array pass: tau1 values of a visit chunk, classes
+# of a class batch, (class, height) cells of its lower heights, and residues
+# of a block of verify's eta tally
 _BATCH = 1 << 12
 
 
-def _batches(sized):
-    """Lists of consecutive items of sized, an iterable of (item, n, w): the
-    n of a list times its largest w is at most _BATCH, or the list is one
-    item.  The one packer of every capped array pass."""
-    batch, total, wide = [], 0, 0
-    for item, n, w in sized:
-        if batch and (total + n) * max(wide, w) > _BATCH:
-            yield batch
-            batch, total, wide = [], 0, 0
-        batch.append(item)
-        total, wide = total + n, max(wide, w)
-    if batch:
-        yield batch
+def _batches(sizes):
+    """Yield (a, b) for runs items[a:b] of consecutive items of sizes >= 0:
+    a run takes the items in turn while their sizes sum to at most _BATCH,
+    or one larger item alone.  The one packer of every capped array pass."""
+    ends = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    a = 0
+    while a < ends.size - 1:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _BATCH, "right")) - 1)
+        yield a, b
+        a = b
 
 
 def _class_counts(hs, frames, visits):
-    """ns for a batch of xi tuples, counted in one array pass: ns[v, j] is
-    the number of points of visit v at the height hs[j].
+    """Yield ns for each xi tuple of a batch in turn: ns[v, j] is the number
+    of points of its v-th visit at the height hs[len(hs) - ns.shape[1] + j],
+    the columns being the heights from its x2 on.
 
     frames is a table of consecutive rows of the frame table at the height
     hs[-1], an ascending int64 array of heights, and visits = (tup, tau1, A,
     roots, first, last) their visits as ``_visit_chunks`` gives them, visit
     v being (xi, tau1[v]) of row tup[v].  The batch's classes, with each xi
-    tuple's data, lie in one set of arrays.  A height below a tuple's x2 has
-    an empty window in each of its classes, like a height below m3*|tau1|.
-    Each root class r is counted without walking it, on tau2 >= 0 only:
-    tau2 enters tauL through tau2^2 and the conditions through
-    gcd(tau2, c2), and the roots are closed under negation, so the points
-    with tau2 < 0 mirror those with tau2 > 0, and a visit has twice its
-    classes' sum, less tau2 = 0 (class 0 at k = 0, its own mirror image)
-    where it is in the window and a point.
+    tuple's data, lie in one set of arrays.  Each root class r is counted
+    without walking it, on tau2 >= 0 only: tau2 enters tauL through tau2^2
+    and the conditions through gcd(tau2, c2), and the roots are closed under
+    negation, so the points with tau2 < 0 mirror those with tau2 > 0, and a
+    visit has twice its classes' sum, less tau2 = 0 (class 0 at k = 0, its
+    own mirror image) where it is in the window and a point.
 
     Writing tau2 = r + fl*k gives tauL = -(n0 + 2*r*xi2*k + fl*xi2*k^2) with
     n0 = (r^2*xi2 + A) / fl, so for every prime p of rad(c2*cl) the k with
-    p | tau2 or p | tauL are at most three residues mod p, which
-    ``_avoiding_counts`` leaves out of each class's k window at every height
-    at once.  Slot i holds each tuple's i-th prime, so a batch has as many
-    slots as its tuples have primes at most.  A class is dead where p
-    divides every tau2 or every tauL of it or of its visit.  For p not
-    dividing fl, k -> tau2 is onto mod p, and the bad tau2 residues (0, and
-    the roots of tau2^2*xi2 + A, off the table of squares mod p of
-    ``_root_slices``) are found per visit; for p | fl, k -> tauL is affine
-    mod p, solved with a table of inverses mod p.  Each prime has one table
-    of each kind per batch: one ``_root_slices`` call serves every prime of
-    the batch.  tau2 = 0 and tauL = 0 fall in every bad set, as
-    gcd(0, c) = c demands.  The int64 arithmetic is exact under the height
-    limit (``_MAX_CLASS_HEIGHT``): the product of a tuple's primes times the
+    p | tau2 or p | tauL are at most three residues mod p, which the terms
+    of ``_avoiding_terms`` leave out of each class's k window.  Slot i holds
+    each tuple's i-th prime.  A class is dead where p divides every tau2 or
+    every tauL of it or of its visit.  For p not dividing fl, k -> tau2 is
+    onto mod p, and the bad tau2 residues (0, and the roots of
+    tau2^2*xi2 + A, off one ``_root_slices`` call for every prime of the
+    batch) are found per visit; for p | fl, k -> tauL is affine mod p,
+    solved with one table of inverses mod p per batch.  tau2 = 0 and
+    tauL = 0 fall in every bad set, as gcd(0, c) = c demands.
+
+    The terms are made on the top height's windows and count it; a lower
+    height B_j only shrinks a visit's tau2 window, so they count it too, on
+    (class, height) cells: a class not dead, with a k at the top, has a cell
+    at each B_j < hs[-1] from its visit's first (x2, m3*|tau1| <= B_j and a
+    tau2 in reach), in blocks of whole classes of at most _BATCH cells
+    (``_batches``).  The int64 arithmetic is exact under the height limit
+    (``_MAX_CLASS_HEIGHT``): the product of a tuple's primes times the
     largest is at most B, and fl*p*xi2 <= B^(4/3) for each p | fl.
     """
     tup, t1, A, roots, first, last = visits
@@ -459,9 +455,7 @@ def _class_counts(hs, frames, visits):
     size = last - first
     vis = np.repeat(np.arange(t1.size), size)
     r = roots[np.arange(vis.size) + np.repeat(first - np.cumsum(size) + size, size)]
-    lo, hi = _tau2_windows(fl[:, None] * hs, A[:, None], xi2[:, None], hs // m0[:, None])
-    empty = (lo > hi) | (m3[:, None] * np.abs(t1)[:, None] > hs) | (x2[:, None] > hs)
-    lo[empty], hi[empty] = 1, 0  # an empty k window, k_hi = k_lo - 1, in every class
+    lo, hi = _tau2_windows(fl * hs[-1], A, xi2, hs[-1] // m0)
     # slot i of a tuple holds its i-th prime p, padded with p = 1, as
     # (p, m, finv, zero, has_roots, kill_a, kill_r, at_inv): m = -1/xi2 and
     # finv = 1/fl mod p, zero where tau2 = 0 is bad, has_roots where the
@@ -521,42 +515,78 @@ def _class_counts(hs, frames, visits):
                 holds[c, 0] = b != 0
             yield res, holds
 
-    n = _avoiding_counts(*_k_windows(lo, hi, fl, vis, r), ct, slots[:, :, 0], bad())
+    k_lo, k_hi = _k_windows(lo, hi, fl, vis, r)
+    cls, terms = _avoiding_terms(k_lo, k_hi, ct, slots[:, :, 0], bad())
+    n = _term_counts(k_lo, k_hi, cls, terms)
     n[dead] = 0  # dead is complete once the terms are
-    ns = np.add.reduceat(n, np.cumsum(size) - size) if t1.size else n[:0]
-    ns *= 2  # class -r at tau2 <= 0 mirrors class r at tau2 >= 0
     # tau2 = 0 is a point where c2 = 1 and tauL = -A/fl is prime to cl
-    ns -= ((c2 == 1) & (A % fl == 0) & (np.gcd(A // fl, cl) == 1))[:, None] & (lo == 0)
-    return ns
+    zero = (c2 == 1) & (A % fl == 0) & (np.gcd(A // fl, cl) == 1)
+    top = np.add.reduceat(n, np.cumsum(size) - size) if t1.size else n[:0]
+    top = 2 * top - (zero & (lo == 0) & (hi >= 0))
+    at = np.searchsorted(tup, np.arange(len(prime_sets) + 1)).tolist()  # each tuple's first visit
+    if hs.size == 1:  # no cells
+        yield from (top[at[k]:at[k + 1], None] for k in range(len(prime_sets)))
+        return
+    order = np.argsort(cls, kind="stable")  # the terms by class
+    terms = tuple(column[order] for column in terms)
+    t_at = np.searchsorted(cls[order], np.arange(r.size + 1))  # each class's first term
+    zero = zero[vis] & (r == 0)  # the class that holds tau2 = 0, where it is a point
+    # each visit's first cell: x2, m3*|tau1| <= B, and a tau2 <= B/m0 with
+    # |tau2^2*xi2 + A| <= B*fl, so A <= B*fl and (B/m0)^2*xi2 + B*fl + A >= 0;
+    # the floats err by under 1e-14 relative, so the root is shrunk by 1e-12
+    a, f, m = (column.astype(np.float64) for column in (np.abs(A), fl, m0))
+    least = 2 * a / (f + np.sqrt(f * f + 4 * xi2 * np.where(A < 0, a, 0) / (m * m)))
+    jv = np.searchsorted(hs, np.maximum(np.maximum(x2, m3 * np.abs(t1)), least * (1 - 1e-12)))
+    cells = np.where(dead | (k_lo > k_hi), 0, hs.size - 1 - jv[vis])  # of each class
+    c_at = np.concatenate(([0], np.cumsum(size)))[at]  # each tuple's first class
+    low = np.searchsorted(hs, frames.x2).tolist()  # each tuple's lowest height
+    blocks, cb, out = _batches(cells), 0, {}
+    for k in range(len(low)):  # each tuple once its last block is done
+        while cb < c_at[k + 1]:
+            ca, cb = next(blocks)
+            c = np.flatnonzero(cells[ca:cb]) + ca  # the block's classes with cells
+            if not c.size:
+                continue
+            cc = np.repeat(c, cells[c])  # the class cells (cc, j), each class's heights ascending
+            j = hs.size - 1 - np.repeat(np.cumsum(cells[c]), cells[c]) + np.arange(cc.size)
+            v = vis[cc]
+            lo, hi = _tau2_windows(fl[v] * hs[j], A[v], xi2[v], hs[j] // m0[v])
+            kl, kh = _k_windows(lo, hi, fl[v], slice(None), r[cc])
+            tn = t_at[cc + 1] - t_at[cc]  # the term cells: each class cell with its class's terms
+            tc = np.repeat(np.arange(cc.size), tn)
+            tt = np.repeat(t_at[cc] - np.cumsum(tn) + tn, tn) + np.arange(tc.size)
+            n = 2 * _term_counts(kl, kh, tc, tuple(column[tt] for column in terms))
+            n -= zero[cc] & (lo == 0) & (hi >= 0)
+            bounds = np.searchsorted(cc, c_at).tolist()
+            for u in range(ct[c[0]], ct[c[-1]] + 1):  # the block's tuples
+                if u not in out:
+                    out[u] = np.zeros((at[u + 1] - at[u], hs.size - low[u]), np.int64)
+                s = slice(bounds[u], bounds[u + 1])
+                np.add.at(out[u].ravel(), (v[s] - at[u]) * out[u].shape[1] + j[s] - low[u], n[s])
+        ns = out.pop(k) if k in out else np.zeros((at[k + 1] - at[k], hs.size - low[k]), np.int64)
+        ns[:, -1] = top[at[k]:at[k + 1]]
+        yield ns
 
 
 def _grid_class_counts(Bs, frames):
     """Yield (xi, tau1, ns) for each row of the frame table at B = Bs[-1],
-    Bs a sorted tuple of distinct heights.
-
-    ns[v, j] is the number of points of the visit (xi, tau1[v]) at the
-    height Bs[len(Bs) - ns.shape[1] + j]: the columns are the heights with
-    x2 <= Bj, and the xi tuple has no points below them.  The rows come
-    in the chunks of ``_visit_chunks``, and a chunk's rows in batches of
-    at most _BATCH classes times heights, each counted in one array pass
-    (``_class_counts``) on the heights from its lowest x2 on; a tuple above
-    the cap is a batch alone.
-    """
+    Bs a sorted tuple of distinct heights: ns[v, j] is the number of points
+    of the visit (xi, tau1[v]) at Bs[len(Bs) - ns.shape[1] + j], the columns
+    being the heights with x2 <= Bj, below which the xi tuple has no points.
+    The rows of a chunk of ``_visit_chunks`` are counted in batches of at
+    most _BATCH classes, or of one row (``_class_counts``)."""
     heights = np.array(Bs, dtype=np.int64)
     for chunk, (tup, t1, A, roots, first, last) in _visit_chunks(Bs[-1], frames):
         xis = chunk.xi.tolist()
         at = np.searchsorted(tup, np.arange(len(xis) + 1))  # each tuple's first visit
-        classes = np.diff(np.concatenate(([0], np.cumsum(last - first)))[at]).tolist()
+        classes = np.diff(np.concatenate(([0], np.cumsum(last - first)))[at])
         at = at.tolist()
-        low = np.searchsorted(heights, chunk.x2).tolist()  # each tuple's lowest height
-        for batch in _batches(zip(range(len(xis)), classes, (len(Bs) - j for j in low))):
-            a, b = batch[0], batch[-1] + 1
-            part, j0 = slice(at[a], at[b]), min(low[a:b])
+        for a, b in _batches(classes):
+            part = slice(at[a], at[b])
             visits = (tup[part] - a, t1[part], A[part], roots, first[part], last[part])
-            ns = _class_counts(heights[j0:], chunk._make(column[a:b] for column in chunk), visits)
-            for i in batch:
-                v = slice(at[i] - at[a], at[i + 1] - at[a])
-                yield tuple(xis[i]), t1[at[i]:at[i + 1]], ns[v, low[i] - j0:]
+            counted = _class_counts(heights, chunk._make(column[a:b] for column in chunk), visits)
+            for i, ns in enumerate(counted, a):  # to its end, which frees its arrays
+                yield tuple(xis[i]), t1[at[i]:at[i + 1]], ns
 
 
 def _scan_part(args):

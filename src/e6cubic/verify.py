@@ -113,14 +113,15 @@ def _congruence_checks(samples, seed):
 
 
 def _eta_worst(qs):
-    """(q, max over gcd(a, q) = 1 of eta(a; q)) for each odd q of qs.  Blocks of
-    consecutive moduli hold at most counting._BATCH residues, as
-    ``counting._batches`` packs them (a larger q is alone); q's row there
+    """(q, max over gcd(a, q) = 1 of eta(a; q)) for each odd q of the sequence
+    qs.  Blocks of consecutive moduli hold at most counting._BATCH residues,
+    as ``counting._batches`` packs them (a larger q is alone); q's row there
     tallies the squares of 0..q-1 in one bincount, less the multiples of q's
     primes, and one maximum.reduceat takes each row's worst.  A block of 2^16
     residues raised verify's peak RSS."""
     worst = []
-    for block in counting._batches((q, q, 1) for q in qs):
+    for a, b in counting._batches(qs):
+        block = qs[a:b]
         sizes = np.array(block, dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         row = np.repeat(starts, sizes)  # each slot's row start

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,21 @@ class TestSqrtMod:
         for m, x, i, j in zip(q.tolist(), a.tolist(), first.tolist(), last.tolist()):
             assert roots[i:j].tolist() == arith.sqrt_mod(x, m), (x, m)
         assert [x.size for x in counting._root_slices(a[:0], q[:0])] == [0, 0, 0]
+
+    def test_root_slices_keep_one_mask(self):
+        # one buffer of the larger modulus's bytes serves both moduli, cleared
+        # after each; a mask per modulus alive at once would peak near their sum
+        q = np.array([(1 << 22) - 3, (1 << 22) + 15], np.int64)
+        targets = np.array([1, 4], np.int64)
+        tracemalloc.start()
+        try:
+            roots, first, last = counting._root_slices(targets, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * int(q.max()), peak
+        for a, m, i, j in zip(targets.tolist(), q.tolist(), first.tolist(), last.tolist()):
+            assert roots[i:j].tolist() == arith.sqrt_mod(a, m), (a, m)
 
     def test_modulus_beyond_int64_squares_raises_before_allocating(self, monkeypatch):
         def no_array(*args, **kwargs):

@@ -150,6 +150,21 @@ class TestClassCount:
         a_max = B * fl + (B // m0) ** 2 * xi[1]
         assert 1.99 * B * B < a_max < 1 << 62
 
+    def test_height_limit_proof_holds_on_every_row_at_the_limit(self):
+        # each inequality of the proof above _MAX_CLASS_HEIGHT, in Python ints,
+        # on every row of the T1 frame table at the limit, where it is tight
+        B = counting._MAX_CLASS_HEIGHT
+        frames = counting._frames(B, torsor.T1_SCHEME)
+        assert frames.x2.size == 268_680
+        columns = (frames.x2, frames.fl, frames.t2max)
+        for xi, x2, fl, t2max in zip(frames.xi.tolist(), *(column.tolist() for column in columns)):
+            xi2, xiL = xi[1], xi[3]
+            assert fl <= x2 <= B, xi
+            a_max = B * fl + t2max * t2max * xi2
+            assert a_max < 1 << 62 and B * fl + a_max < 3 << 61, xi
+            assert math.prod(xi) ** 2 <= B, xi
+            assert fl * max(xi[3:6]) * xi2 <= x2 * xiL and (x2 * xiL) ** 3 <= B**4, xi
+
     @staticmethod
     def iroot(n, e):
         """floor(n^(1/e)), exactly."""
@@ -230,8 +245,10 @@ class TestClassCount:
 
     @staticmethod
     def avoiding(windows, bad):
-        """_avoiding_counts with one class per row of windows, whose columns are
-        (lo, hi) pairs, the last the widest; every class has the same bad set."""
+        """The counts of _avoiding_terms' terms with one class per row of
+        windows, whose columns are (lo, hi) pairs, the last the widest: the
+        terms are made on the last column and counted in every column by
+        _term_counts; every class has the same bad set."""
         k_lo, k_hi = (np.array([[w[i] for w in row] for row in windows]) for i in (0, 1))
         rows = len(windows)
         arrays = []
@@ -240,7 +257,9 @@ class TestClassCount:
             arrays.append((res % p, res >= 0))
         primes = np.array([[p for p, _ in bad]], np.int64).reshape(1, len(bad))
         grp = np.zeros(rows, np.int64)
-        return counting._avoiding_counts(k_lo, k_hi, grp, primes, arrays).tolist()
+        cls, terms = counting._avoiding_terms(k_lo[:, -1], k_hi[:, -1], grp, primes, arrays)
+        columns = [counting._term_counts(lo, hi, cls, terms) for lo, hi in zip(k_lo.T, k_hi.T)]
+        return np.column_stack(columns).tolist()
 
     @staticmethod
     def scan(lo, hi, bad):
@@ -278,7 +297,7 @@ class TestClassCount:
     @staticmethod
     def batched(monkeypatch, cap, Bs, scheme):
         """_grid_class_counts as lists, with the batch cap set to cap, and the
-        number of array passes it made."""
+        number of class batches it counted."""
         passes = []
         class_counts = counting._class_counts
 
@@ -294,32 +313,34 @@ class TestClassCount:
         ]
         return rows, len(passes)
 
+    @staticmethod
+    def runs(sizes):
+        """_batches' runs of sizes as lists of item indices."""
+        return [list(range(a, b)) for a, b in counting._batches(sizes)]
+
     def test_batches_keep_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(counting, "_BATCH", 10)
-        sized = [("a", 4, 1), ("b", 6, 1), ("c", 11, 1), ("d", 0, 1), ("e", 3, 1), ("f", 8, 1)]
-        assert list(counting._batches(sized)) == [["a", "b"], ["c"], ["d", "e"], ["f"]]
-        # the largest width counts for the whole list
-        sized = [("a", 2, 1), ("b", 3, 2), ("c", 1, 4), ("d", 1, 1), ("e", 1, 10), ("f", 0, 11)]
-        assert list(counting._batches(sized)) == [["a", "b"], ["c", "d"], ["e"], ["f"]]
-        assert list(counting._batches([("g", 3, 3), ("h", 1, 1)])) == [["g"], ["h"]]
+        assert self.runs([4, 6, 11, 0, 3, 8]) == [[0, 1], [2], [3, 4], [5]]
+        assert self.runs([0, 0, 10, 0, 1]) == [[0, 1, 2, 3], [4]]
+        assert self.runs(np.array([3, 3, 3, 3], np.int64)) == [[0, 1, 2], [3]]
+        assert self.runs([]) == []
 
-    @given(
-        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), max_size=30),
-        st.integers(-1, 300),
-    )
+    @given(st.lists(st.integers(0, 40), max_size=30), st.integers(-1, 300))
     @settings(max_examples=300, deadline=None)
     def test_batches_pack_greedily_under_the_cap(self, sizes, cap):
-        sized = [(k, n, w) for k, (n, w) in enumerate(sizes)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(counting, "_BATCH", cap)
-            batches = list(counting._batches(sized))
-        assert [k for batch in batches for k in batch] == list(range(len(sized)))
+            batches = self.runs(sizes)
+        assert [k for batch in batches for k in batch] == list(range(len(sizes)))
         for batch, after in zip(batches, batches[1:] + [None]):
-            total, wide = sum(sizes[k][0] for k in batch), max(sizes[k][1] for k in batch)
-            assert len(batch) == 1 or total * wide <= cap, batch
+            total = sum(sizes[k] for k in batch)
+            assert len(batch) == 1 or total <= cap, batch
             if after:  # the next item would not have fit
-                n, w = sizes[after[0]]
-                assert (total + n) * max(wide, w) > cap, (batch, after)
+                assert total + sizes[after[0]] > cap, (batch, after)
+
+    # a geometric grid whose low heights lie below the x2 of some xi tuples
+    # and the m3*|tau1| of some visits, and a dense one
+    CELL_GRIDS = [tuple(sorted({round(10 * 50 ** (k / 12)) for k in range(13)})), tuple(range(1, 301))]
 
     @SCHEMES
     def test_counts_do_not_depend_on_batches(self, scheme, top, monkeypatch):
@@ -333,6 +354,26 @@ class TestClassCount:
             together, passes = self.batched(monkeypatch, 1 << 62, Bs, scheme)
             assert passes == 1
             assert together == alone, Bs
+
+    @SCHEMES
+    def test_cells_match_class_walk_at_every_height(self, scheme, top, monkeypatch):
+        # caps of 1, 3 and 7 cut a visit's classes and a tuple's visits into
+        # several blocks of cells; every visit's counts equal the class walk's
+        # at every height, and it has no points below its columns
+        for Bs in self.CELL_GRIDS:
+            walked = collections.defaultdict(list)  # the heights of each visit's points
+            for xi, t1, t2, tl, x2, m0, m3 in counting._walk(Bs[-1], scheme):
+                walked[xi, t1].append(max(x2, m0 * abs(t2), m3 * abs(t1), abs(tl)))
+            for cap in (1, 3, 7):
+                seen = set()
+                for xi, t1s, ns in self.batched(monkeypatch, cap, Bs, scheme)[0]:
+                    for t1, row in zip(t1s, ns):
+                        heights = np.sort(walked.get((xi, t1), []))
+                        below = Bs[: len(Bs) - len(row)]  # the heights without a column
+                        assert row == np.searchsorted(heights, Bs[len(below):], "right").tolist(), (xi, t1)
+                        assert not below or not np.any(heights <= below[-1]), (xi, t1)
+                        seen.add((xi, t1))
+                assert seen >= walked.keys(), (Bs, cap)
 
     @SCHEMES
     def test_class_arrays_fit_under_the_height_limit(self, scheme, top):
